@@ -99,7 +99,7 @@ void report_allocs(benchmark::State& state, const AllocCounter& counter) {
 
 /// Steady-state schedule -> execute churn: per outer iteration, schedule a
 /// batch of SBO-sized callbacks at staggered delays and drain the queue.
-/// This is the loop `run_campaign` spends its life in.
+/// This is the loop every simulated run spends its life in.
 void BM_SchedulerChurn(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   sim::Scheduler scheduler;

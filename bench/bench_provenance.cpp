@@ -231,9 +231,7 @@ double mdns_discovery(Mode mode, excovery::sim::LineageLog& log,
     if (mode == Mode::kGraph) {
       std::vector<excovery::obs::CriticalPath> paths =
           excovery::obs::extract_critical_paths(log);
-#if EXCOVERY_OBS_ENABLED
       if (paths.empty()) std::abort();
-#endif
     }
     network.reset_run_state();
   }
@@ -308,10 +306,6 @@ int main(int argc, char** argv) {
 
   std::printf("provenance overhead bench: %d repetitions per mode%s\n", reps,
               smoke ? " (smoke)" : "");
-#if !EXCOVERY_OBS_ENABLED
-  std::printf("  (built with -DEXCOVERY_OBS=OFF: lineage is compiled out, "
-              "all modes measure the same inert code)\n");
-#endif
 
   const Mode kModes[] = {Mode::kOff, Mode::kRing, Mode::kGraph};
   const double budget_percent = 3.0;

@@ -47,7 +47,6 @@
 #include <string>
 
 #include "common/log.hpp"
-#include "common/obs_switch.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
 #include "core/service.hpp"
@@ -116,19 +115,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-
-#if !EXCOVERY_OBS_ENABLED
-  // Observability was compiled out; requesting its outputs would otherwise
-  // silently produce empty files.
-  if (!trace_out.empty() || !metrics_out.empty() || !provenance_out.empty()) {
-    std::fprintf(stderr,
-                 "warning: this binary was built with -DEXCOVERY_OBS=OFF; "
-                 "--trace-out, --metrics-out and --provenance-out will "
-                 "produce empty output.\n"
-                 "         Rebuild with -DEXCOVERY_OBS=ON (the default) to "
-                 "collect traces, metrics and provenance.\n");
-  }
-#endif
 
   // Observability: attach a context whenever any output was requested (a
   // context costs nothing measurable and never changes the package bytes).

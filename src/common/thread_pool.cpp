@@ -3,13 +3,11 @@
 namespace excovery {
 
 namespace {
-#if EXCOVERY_OBS_ENABLED
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-#endif
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
@@ -34,11 +32,9 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::enqueue(std::function<void()> fn) {
   QueuedTask task;
   task.fn = std::move(fn);
-#if EXCOVERY_OBS_ENABLED
   if (observer_.load(std::memory_order_acquire) != nullptr) {
     task.enqueued_ns = steady_now_ns();
   }
-#endif
   {
     std::lock_guard lock(mutex_);
     queue_.push_back(std::move(task));
@@ -56,7 +52,6 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-#if EXCOVERY_OBS_ENABLED
     if (ThreadPoolObserver* obs = observer_.load(std::memory_order_acquire)) {
       const std::int64_t start = steady_now_ns();
       const std::int64_t delay =
@@ -65,7 +60,6 @@ void ThreadPool::worker_loop() {
       obs->on_task(delay, steady_now_ns() - start);
       continue;
     }
-#endif
     task.fn();
   }
 }

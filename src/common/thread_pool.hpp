@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/obs_switch.hpp"
-
 namespace excovery {
 
 /// Utilization callback for a ThreadPool (implemented by the observability
@@ -56,11 +54,8 @@ class ThreadPool {
     return future;
   }
 
-  /// Enqueue a fire-and-forget task (no future).  Used for cooperative
-  /// nesting: a pool task that needs helpers posts them and participates in
-  /// the work itself, waiting only on a completion count — never on the
-  /// helpers being scheduled — so sharing one pool between campaign- and
-  /// run-level parallelism cannot deadlock.
+  /// Enqueue a fire-and-forget task (no future) that delivers its own
+  /// result, as ExperimentService's simulations do through a promise.
   void post(std::function<void()> task);
 
   /// Run `fn(i)` for i in [0, count) across the pool and wait for all.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -24,44 +22,6 @@ struct RunSlot {
   int aborted = 0;
 };
 
-/// State shared between the sharding caller and its helper workers.  Held
-/// by shared_ptr so a helper task that a saturated pool only gets around to
-/// after the experiment finished finds `next` exhausted and exits without
-/// touching anything else.
-struct ShardContext {
-  std::vector<const RunSpec*> todo;
-  std::vector<RunSlot> slots;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t finished = 0;
-  /// Workers that built an executor and have not yet retired.  wait_all
-  /// blocks on them too, so per-worker epilogue work (metric-shard merges)
-  /// is complete before the caller proceeds — pool-borrowed helpers are
-  /// never joined, only waited for.
-  std::size_t working = 0;
-
-  void note_finished() {
-    std::lock_guard lock(done_mutex);
-    if (++finished == slots.size()) done_cv.notify_all();
-  }
-  void note_worker_started() {
-    std::lock_guard lock(done_mutex);
-    ++working;
-  }
-  void note_worker_retired() {
-    std::lock_guard lock(done_mutex);
-    if (--working == 0) done_cv.notify_all();
-  }
-  void wait_all() {
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock,
-                 [this] { return finished == slots.size() && working == 0; });
-  }
-};
-
 }  // namespace
 
 ExperiMaster::ExperiMaster(const ExperimentDescription& description,
@@ -78,13 +38,11 @@ ExperiMaster::ExperiMaster(const ExperimentDescription& description,
   }
   executor_ = std::make_unique<RunExecutor>(description_, platform_,
                                             executor_options());
-#if EXCOVERY_OBS_ENABLED
   if (options_.obs != nullptr) {
     obs_shard_ =
         std::make_unique<obs::MetricsShard>(options_.obs->make_shard());
     executor_->attach_obs(options_.obs, obs_shard_.get());
   }
-#endif
 }
 
 RunExecutorOptions ExperiMaster::executor_options() const {
@@ -151,7 +109,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
       !todo.empty() && todo.front()->run_id < max_completed;
   progress_total_ = todo.size();
   progress_done_.store(0, std::memory_order_relaxed);
-#if EXCOVERY_OBS_ENABLED
   obs::WallSpan runs_span;
   if (options_.obs != nullptr) {
     runs_span = obs::WallSpan(
@@ -160,13 +117,11 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
                         std::max<std::size_t>(workers, 1)),
         "master");
   }
-#endif
   if (workers <= 1 && !gap_resume) {
     EXC_TRY(run_all_sequential(todo));
   } else if (!todo.empty()) {
     EXC_TRY(run_all_sharded(todo, std::max<std::size_t>(workers, 1)));
   }
-#if EXCOVERY_OBS_ENABLED
   runs_span = obs::WallSpan();  // close the span before conditioning
   if (options_.obs != nullptr && obs_shard_ != nullptr) {
     // Fold the sequential path's shard into the merged view; re-arm it so a
@@ -174,7 +129,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
     options_.obs->merge_shard(*obs_shard_);
     *obs_shard_ = options_.obs->make_shard();
   }
-#endif
 
   platform_.level2()
       .node(kEnvironmentNode)
@@ -194,7 +148,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
   storage::ConditioningOptions conditioning;
   conditioning.experiment_name = description_.name;
   conditioning.comment = options_.comment;
-#if EXCOVERY_OBS_ENABLED
   obs::WallSpan condition_span;
   if (options_.obs != nullptr) {
     obs::ObsContext* obs = options_.obs;
@@ -210,7 +163,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
                            obs->trace().wall_now_ns());
     };
   }
-#endif
   return storage::condition(platform_.level2(), description_.to_xml_text(),
                             conditioning);
 }
@@ -230,24 +182,20 @@ Status ExperiMaster::execute_with_retries(RunExecutor& executor,
       options_.progress(run, attempt, status.ok());
     }
     if (status.ok()) {
-#if EXCOVERY_OBS_ENABLED
       if (options_.obs != nullptr) {
         std::size_t done =
             progress_done_.fetch_add(1, std::memory_order_relaxed) + 1;
         options_.obs->report_progress(done, progress_total_, run.run_id,
                                       attempt);
       }
-#endif
       return {};
     }
     ++aborted;
-#if EXCOVERY_OBS_ENABLED
     // Only attempts that actually get another try count as retries.
     if (options_.obs != nullptr &&
         attempt < options_.max_attempts_per_run) {
       options_.obs->add(options_.obs->ids().runs_retries, 1);
     }
-#endif
     EXC_LOG_WARN(kComponent,
                  "run " << run.run_id << " attempt " << attempt
                         << " aborted: " << status.error().to_string());
@@ -272,56 +220,47 @@ Status ExperiMaster::run_all_sequential(
 
 Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
                                      std::size_t workers) {
-  auto ctx = std::make_shared<ShardContext>();
-  ctx->todo = todo;
-  ctx->slots.resize(todo.size());
+  std::vector<RunSlot> slots(todo.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
 
   // Work claiming: each participating thread lazily builds its own platform
   // replica, then pulls run indexes off the shared counter until the plan
   // is exhausted.  A failure poisons the remaining (unclaimed) runs so the
   // experiment stops quickly; already-claimed runs still finish and are
   // merged, matching sequential resume semantics.
-  auto work = [this, ctx] {
+  auto work = [&] {
     std::unique_ptr<SimPlatform> replica;
     std::unique_ptr<RunExecutor> executor;
-#if EXCOVERY_OBS_ENABLED
     // Each worker records into its own shard — no synchronisation on the
     // hot path — and folds it into the context when its claim loop ends.
     // Counter merges commute and histogram sums use exact (order-invariant)
     // summation, so the merged totals do not depend on which worker claimed
     // which run.
     std::unique_ptr<obs::MetricsShard> shard;
-#endif
     for (;;) {
-      std::size_t i = ctx->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= ctx->todo.size()) break;
-      RunSlot& slot = ctx->slots[i];
-      if (ctx->failed.load(std::memory_order_relaxed)) {
-        ctx->note_finished();
-        continue;
-      }
+      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= todo.size()) break;
+      RunSlot& slot = slots[i];
+      if (failed.load(std::memory_order_relaxed)) continue;
       if (!executor) {
         Result<std::unique_ptr<SimPlatform>> r =
             platform_.replicate(description_);
         if (!r.ok()) {
           slot.error = std::move(r).error();
-          ctx->failed.store(true, std::memory_order_relaxed);
-          ctx->note_finished();
+          failed.store(true, std::memory_order_relaxed);
           continue;
         }
         replica = std::move(r).value();
         executor = std::make_unique<RunExecutor>(description_, *replica,
                                                  executor_options());
-        ctx->note_worker_started();
-#if EXCOVERY_OBS_ENABLED
         if (options_.obs != nullptr) {
           shard = std::make_unique<obs::MetricsShard>(
               options_.obs->make_shard());
           executor->attach_obs(options_.obs, shard.get());
         }
-#endif
       }
-      const RunSpec& run = *ctx->todo[i];
+      const RunSpec& run = *todo[i];
       slot.executed = true;
       Status status =
           execute_with_retries(*executor, *replica, run, slot.aborted);
@@ -329,40 +268,30 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
         slot.data = replica->level2().extract_run(run.run_id);
       } else {
         slot.error = std::move(status).error();
-        ctx->failed.store(true, std::memory_order_relaxed);
+        failed.store(true, std::memory_order_relaxed);
       }
-      ctx->note_finished();
     }
-#if EXCOVERY_OBS_ENABLED
     if (shard != nullptr && options_.obs != nullptr) {
       options_.obs->merge_shard(*shard);
     }
-#endif
-    if (executor) ctx->note_worker_retired();
   };
 
-  // The calling thread always participates; extra workers either ride the
-  // shared pool (campaign nesting) or short-lived dedicated threads.  With
-  // a saturated shared pool the helpers may never start — the caller then
-  // simply executes every run itself.
-  std::vector<std::thread> threads;
-  for (std::size_t w = 1; w < workers; ++w) {
-    if (options_.run_pool) {
-      options_.run_pool->post(work);
-    } else {
-      threads.emplace_back(work);
-    }
-  }
+  // The calling thread works alongside `workers - 1` dedicated helper
+  // threads.  Once they are joined, every claimed run is in its slot and
+  // every worker's metric shard is merged.  A jthread also joins when
+  // unwinding, before the state `work` refers to is destroyed.
+  std::vector<std::jthread> helpers;
+  helpers.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work);
   work();
-  ctx->wait_all();
-  for (std::thread& thread : threads) thread.join();
+  for (std::jthread& helper : helpers) helper.join();
 
   // Deterministic merge: todo order is ascending run-id order, and
   // merge_run splices each run in where that order dictates, so the master
   // store is byte-identical to one filled by sequential execution.
   std::optional<Error> failure;
-  for (std::size_t i = 0; i < ctx->slots.size(); ++i) {
-    RunSlot& slot = ctx->slots[i];
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    RunSlot& slot = slots[i];
     aborted_attempts_ += slot.aborted;
     if (slot.error) {
       if (!failure) failure = std::move(*slot.error);
@@ -370,7 +299,7 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
     }
     if (!slot.executed) continue;  // skipped after another run failed
     platform_.level2().merge_run(std::move(slot.data));
-    platform_.level2().mark_run_complete(ctx->todo[i]->run_id);
+    platform_.level2().mark_run_complete(todo[i]->run_id);
   }
   if (failure) return std::move(*failure);
   return {};

@@ -27,8 +27,8 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 
-#include "common/thread_pool.hpp"
 #include "core/description.hpp"
 #include "core/plan.hpp"
 #include "core/platform.hpp"
@@ -60,12 +60,6 @@ struct MasterOptions {
   /// the master's own platform, 0 = hardware concurrency.  The conditioned
   /// package is bit-identical for every value.
   std::size_t run_workers = 1;
-  /// Optional shared pool for the extra run workers (run_campaign points
-  /// this at the campaign pool so campaign- and run-level parallelism share
-  /// one set of threads).  The calling thread always participates, so runs
-  /// make progress even when the pool is saturated.  When null, the master
-  /// spawns its own short-lived threads.
-  ThreadPool* run_pool = nullptr;
 
   /// Observability context (metrics, tracing, per-run ledger); null = none.
   /// Attaching a context never changes the conditioned package: every

@@ -33,9 +33,7 @@ void EventRecorder::record(const std::string& node, std::string_view type,
   if (cached_node_ == nullptr || cached_name_ != node) {
     cached_node_ = &level2_.node(node);
     cached_name_ = node;
-#if EXCOVERY_OBS_ENABLED
     cached_label_ = lineage_ ? lineage_->intern(node) : 0;
-#endif
   }
   cached_node_->record_event(std::move(raw));
 

@@ -45,7 +45,6 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
   platform_.scheduler().run_until(run_epoch(run.run_id));
   platform_.begin_run(run.run_id, attempt);
 
-#if EXCOVERY_OBS_ENABLED
   // Kernel counters are sampled after the epoch drain so the recorded
   // deltas cover exactly this attempt, not leftovers from the jump.
   KernelSample before;
@@ -73,7 +72,6 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
           std::move(args));
     }
   }
-#endif
 
   current_run_ = &run;
   Status status = prepare_run(run);
@@ -82,7 +80,6 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
   Status cleanup = cleanup_run(run);
   current_run_ = nullptr;
 
-#if EXCOVERY_OBS_ENABLED
   const Status& outcome = !status.ok() ? status : cleanup;
   if (obs_ != nullptr) {
     record_attempt_obs(run, outcome, before, sim_start_ns, wall_start_ns);
@@ -95,7 +92,6 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
     }
   }
   if (!outcome.ok()) dump_flight_recorder(outcome);
-#endif
 
   if (!status.ok()) return status;
   if (!cleanup.ok()) return cleanup;
@@ -105,7 +101,6 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
 
 void RunExecutor::attach_obs(obs::ObsContext* context,
                              obs::MetricsShard* shard) {
-#if EXCOVERY_OBS_ENABLED
   obs_ = context;
   obs_shard_ = shard;
   // Full lineage-graph retention only while a context is attached: the
@@ -121,13 +116,7 @@ void RunExecutor::attach_obs(obs::ObsContext* context,
     platform_.network().set_packet_trace_hook(
         [this](const net::PacketTraceEvent& event) { on_packet_trace(event); });
   }
-#else
-  (void)context;
-  (void)shard;
-#endif
 }
-
-#if EXCOVERY_OBS_ENABLED
 
 RunExecutor::KernelSample RunExecutor::sample_kernel() const {
   KernelSample sample;
@@ -362,8 +351,6 @@ void RunExecutor::dump_flight_recorder(const Status& failure) {
                                  << written.error().to_string());
   }
 }
-
-#endif  // EXCOVERY_OBS_ENABLED
 
 Status RunExecutor::prepare_run(const RunSpec& run) {
   // "During preparation, the whole environment of the experiment process

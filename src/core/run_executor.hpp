@@ -19,7 +19,6 @@
 #include <map>
 #include <string>
 
-#include "common/obs_switch.hpp"
 #include "core/description.hpp"
 #include "core/interpreter.hpp"
 #include "core/plan.hpp"
@@ -71,7 +70,7 @@ class RunExecutor : public ActionDispatcher {
   /// retention for provenance extraction (each successful attempt's
   /// critical paths land in the context's provenance ledger), and — when
   /// the context asks for packet traces — installs the per-packet
-  /// lifecycle hook.  Compiled to a no-op when EXCOVERY_OBS is off.
+  /// lifecycle hook.  A null `context` detaches.
   void attach_obs(obs::ObsContext* context, obs::MetricsShard* shard);
 
   SimPlatform& platform() noexcept { return platform_; }
@@ -86,7 +85,6 @@ class RunExecutor : public ActionDispatcher {
   Status run_processes(const RunSpec& run, int attempt);
   Status cleanup_run(const RunSpec& run);
 
-#if EXCOVERY_OBS_ENABLED
   /// Snapshot of the monotonic kernel counters, taken right after the
   /// fast-forward to the run epoch so the recorded deltas cover exactly one
   /// attempt (epoch drains of leftover gated timers are excluded).
@@ -107,7 +105,6 @@ class RunExecutor : public ActionDispatcher {
   /// Failed attempt: dump the lineage ring to the flight directory (no-op
   /// when none is configured).
   void dump_flight_recorder(const Status& failure);
-#endif
 
   const ExperimentDescription& description_;
   SimPlatform& platform_;

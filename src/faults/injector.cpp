@@ -44,13 +44,9 @@ Status validate(const TemporalSpec& temporal) {
 
 namespace {
 
-/// Obs-gated counter bump for the per-kind fault statistics.
+/// Counter bump for the per-kind fault statistics.
 inline void count_one(std::uint64_t& counter) noexcept {
-#if EXCOVERY_OBS_ENABLED
   ++counter;
-#else
-  (void)counter;
-#endif
 }
 
 /// True only at the origin transmit of a packet (route holds just the
@@ -152,9 +148,7 @@ FaultHandle FaultInjector::schedule(std::string kind,
       [this, node_name, start_event, &kind_stats,
        activate = std::move(activate)] {
         activate();
-#if EXCOVERY_OBS_ENABLED
         ++activations_;
-#endif
         count_one(kind_stats.activations);
         emit(node_name, start_event, Value{});
       },
@@ -533,9 +527,7 @@ Result<FaultHandle> FaultInjector::message_duplicate(
                 return net::FilterVerdict::pass();
               }
               if (rng->bernoulli(probability)) {
-#if EXCOVERY_OBS_ENABLED
                 ks.packets_duplicated += static_cast<std::uint64_t>(copies);
-#endif
                 return net::FilterVerdict::duplicated(copies, gap);
               }
               return net::FilterVerdict::pass();

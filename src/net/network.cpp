@@ -230,7 +230,6 @@ void Network::set_lineage(sim::LineageLog* log) {
   lineage_ = log;
   node_labels_.clear();
   lin_labels_ = {};
-#if EXCOVERY_OBS_ENABLED
   if (!log) return;
   node_labels_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -249,7 +248,6 @@ void Network::set_lineage(sim::LineageLog* log) {
   lin_labels_.ttl = log->intern("ttl");
   lin_labels_.no_route = log->intern("no_route");
   lin_labels_.no_handler = log->intern("no_handler");
-#endif
 }
 
 void Network::enable_link_stats() {

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/obs_switch.hpp"
 #include "common/rng.hpp"
 #include "net/link_set.hpp"
 #include "net/packet.hpp"
@@ -239,19 +238,10 @@ class Network {
   std::uint64_t record_lineage(sim::LineageKind kind, std::uint64_t parent,
                                std::uint64_t uid, NodeId node,
                                std::string_view label) {
-#if EXCOVERY_OBS_ENABLED
     if (!lineage_) return 0;
     return lineage_->record(kind, parent, uid, scheduler_.now(),
                             lineage_node_label(node), 0,
                             lineage_->intern(label));
-#else
-    (void)kind;
-    (void)parent;
-    (void)uid;
-    (void)node;
-    (void)label;
-    return 0;
-#endif
   }
 
   /// Reset per-run state: duplicate-suppression sets, captures, tag
@@ -345,21 +335,14 @@ class Network {
   const LinkModel* find_link(NodeId from, NodeId to) const noexcept;
 
   void count_link(NodeId from, NodeId to, bool dropped) noexcept {
-#if EXCOVERY_OBS_ENABLED
     if (link_stats_.nodes == 0) return;
     auto& counters = dropped ? link_stats_.dropped : link_stats_.sent;
     counters[from * link_stats_.nodes + to]++;
-#else
-    (void)from;
-    (void)to;
-    (void)dropped;
-#endif
   }
 
   void emit_packet_trace(PacketTraceEvent::Kind kind, std::uint64_t uid,
                          NodeId node, NodeId peer, const char* detail,
                          std::size_t bytes) {
-#if EXCOVERY_OBS_ENABLED
     if (!trace_hook_) return;
     PacketTraceEvent event;
     event.kind = kind;
@@ -369,42 +352,24 @@ class Network {
     event.detail = detail;
     event.bytes = bytes;
     trace_hook_(event);
-#else
-    (void)kind;
-    (void)uid;
-    (void)node;
-    (void)peer;
-    (void)detail;
-    (void)bytes;
-#endif
   }
 
   /// Ambient causal context (the lineage id the current activity descends
-  /// from); 0 outside any context or with observability compiled out.
+  /// from); 0 outside any context.
   std::uint64_t lin_ambient() const noexcept {
     return scheduler_.current_context();
   }
 
   /// Record one packet lineage event with an explicit parent and a
-  /// pre-interned label.  Returns its id, 0 when no log is attached (or
-  /// the hooks are compiled out) — a 0 id makes LineageScope a no-op.
+  /// pre-interned label.  Returns its id, 0 when no log is attached — a 0
+  /// id makes LineageScope a no-op.
   std::uint64_t lin_record(sim::LineageKind kind, std::uint64_t parent,
                            std::uint64_t uid, NodeId node, NodeId peer,
                            std::uint16_t label) {
-#if EXCOVERY_OBS_ENABLED
     if (!lineage_) return 0;
     return lineage_->record(kind, parent, uid, scheduler_.now(),
                             lineage_node_label(node),
                             lineage_node_label(peer), label);
-#else
-    (void)kind;
-    (void)parent;
-    (void)uid;
-    (void)node;
-    (void)peer;
-    (void)label;
-    return 0;
-#endif
   }
 
   /// Same, interning a dynamic cause string (filter verdicts).  Off the
@@ -412,18 +377,8 @@ class Network {
   std::uint64_t lin_record_cause(sim::LineageKind kind, std::uint64_t parent,
                                  std::uint64_t uid, NodeId node, NodeId peer,
                                  const char* cause) {
-#if EXCOVERY_OBS_ENABLED
     if (!lineage_) return 0;
     return lin_record(kind, parent, uid, node, peer, lineage_->intern(cause));
-#else
-    (void)kind;
-    (void)parent;
-    (void)uid;
-    (void)node;
-    (void)peer;
-    (void)cause;
-    return 0;
-#endif
   }
 
   /// Pre-interned labels for the fixed data-plane sites, resolved once in

@@ -3,10 +3,9 @@
 // (DESIGN.md §11).
 //
 // Everything here is out-of-band with respect to measurement: attaching an
-// ObsContext (or not), the worker count, and the EXCOVERY_OBS build switch
-// must not change a single byte of the conditioned level-3 package.  Export
-// into a package's Metrics table only happens through the explicit
-// export_metrics() call.
+// ObsContext (or not) and the worker count must not change a single byte of
+// the conditioned level-3 package.  Export into a package's Metrics table
+// only happens through the explicit export_metrics() call.
 #pragma once
 
 #include <chrono>

@@ -47,7 +47,7 @@ std::string describe(const sim::LineageLog& log,
 /// Extract the critical path of every discovery in the log's retained
 /// graph: the *first* sd_service_add per (node, instance), its parent chain
 /// walked back to the root.  Returns paths in discovery order; empty when
-/// graph retention was off (or EXCOVERY_OBS is off).
+/// graph retention was off.
 std::vector<CriticalPath> extract_critical_paths(const sim::LineageLog& log);
 
 /// Per-run critical-path rows for a whole experiment.  Like the metrics

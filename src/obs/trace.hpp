@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/obs_switch.hpp"
 
 namespace excovery::obs {
 
@@ -89,8 +88,6 @@ class TraceBuffer {
   bool enabled_;
   std::chrono::steady_clock::time_point wall_origin_;
 };
-
-#if EXCOVERY_OBS_ENABLED
 
 /// RAII wall-clock span on the wall track: begins at construction, emits a
 /// complete event at destruction.  A default-constructed (or null-buffer)
@@ -198,24 +195,6 @@ class SimSpan {
   std::string args_json_;
   NowFn now_;
 };
-
-#else  // !EXCOVERY_OBS_ENABLED: spans collapse to inert guards.
-
-class WallSpan {
- public:
-  WallSpan() = default;
-  WallSpan(TraceBuffer*, std::string, std::string, std::string = "") {}
-};
-
-class SimSpan {
- public:
-  using NowFn = std::function<std::int64_t()>;
-  SimSpan() = default;
-  SimSpan(TraceBuffer*, std::uint32_t, std::string, std::string, NowFn,
-          std::string = "") {}
-};
-
-#endif  // EXCOVERY_OBS_ENABLED
 
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view text);

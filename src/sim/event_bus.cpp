@@ -71,9 +71,7 @@ void EventBus::publish(const BusEvent& event) {
     Subscriber& s =
         take_named ? by_name_[name_index][ni++] : wildcard_[wi++];
     if (s.removed) continue;
-#if EXCOVERY_OBS_ENABLED
     ++dispatched_;
-#endif
     s.fn(event);
   }
   --publish_depth_;

@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/obs_switch.hpp"
 #include "common/value.hpp"
 #include "sim/time.hpp"
 
@@ -64,8 +63,7 @@ class EventBus {
 
   /// Number of events published so far.
   std::uint64_t published() const noexcept { return published_; }
-  /// Subscriber callbacks invoked across all publishes (fan-out; 0 when
-  /// observability hooks are compiled out).
+  /// Subscriber callbacks invoked across all publishes (fan-out).
   std::uint64_t dispatched() const noexcept { return dispatched_; }
 
  private:

@@ -32,8 +32,6 @@ std::string_view to_string(LineageKind kind) {
   return "?";
 }
 
-#if EXCOVERY_OBS_ENABLED
-
 LineageLog::LineageLog(std::size_t ring_capacity) {
   if (ring_capacity == 0) ring_capacity = 1;
   ring_.resize(ring_capacity);
@@ -68,7 +66,5 @@ std::string_view LineageLog::name(std::uint16_t id) const noexcept {
   if (id >= names_.size()) return {};
   return names_[id];
 }
-
-#endif  // EXCOVERY_OBS_ENABLED
 
 }  // namespace excovery::sim

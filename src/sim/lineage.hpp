@@ -19,8 +19,7 @@
 //
 // Recording consumes no randomness and schedules nothing, so enabling or
 // disabling lineage can never change simulation results — the determinism
-// contract (DESIGN.md §11) is preserved by construction.  Under
-// -DEXCOVERY_OBS=OFF the whole facility collapses to inert inline no-ops.
+// contract (DESIGN.md §11) is preserved by construction.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/obs_switch.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -55,8 +53,6 @@ enum class LineageKind : std::uint16_t {
 
 /// Readable name for a kind ("send", "drop", …).
 std::string_view to_string(LineageKind kind);
-
-#if EXCOVERY_OBS_ENABLED
 
 /// One node in the causal forest.  40-byte POD; stored by value in both
 /// the flight-recorder ring and the provenance graph.
@@ -195,51 +191,5 @@ class LineageScope {
   Scheduler& scheduler_;
   std::uint64_t prev_;
 };
-
-#else  // !EXCOVERY_OBS_ENABLED — inert shells; call sites compile away.
-
-struct LineageEvent {
-  std::uint64_t id = 0;
-  std::uint64_t parent = 0;
-  std::uint64_t uid = 0;
-  std::int64_t ts_ns = 0;
-  LineageKind kind = LineageKind::kRoot;
-  std::uint16_t node = 0;
-  std::uint16_t peer = 0;
-  std::uint16_t label = 0;
-};
-
-class LineageLog {
- public:
-  explicit LineageLog(std::size_t = 0) {}
-  static constexpr std::size_t kDefaultRingCapacity = 0;
-  void begin_run(std::uint64_t, std::uint32_t) {}
-  std::uint64_t run_id() const noexcept { return 0; }
-  std::uint32_t attempt() const noexcept { return 0; }
-  void set_graph_enabled(bool) noexcept {}
-  bool graph_enabled() const noexcept { return false; }
-  bool graph_active() const noexcept { return false; }
-  std::uint16_t intern(std::string_view) { return 0; }
-  std::string_view name(std::uint16_t) const noexcept { return {}; }
-  std::uint64_t record(LineageKind, std::uint64_t, std::uint64_t, SimTime,
-                       std::uint16_t, std::uint16_t, std::uint16_t) {
-    return 0;
-  }
-  const std::vector<LineageEvent>& events() const noexcept {
-    static const std::vector<LineageEvent> kEmpty;
-    return kEmpty;
-  }
-  template <typename Fn>
-  void for_each_recent(Fn&&) const {}
-  std::size_t recent_count() const noexcept { return 0; }
-  std::uint64_t recorded() const noexcept { return 0; }
-};
-
-class LineageScope {
- public:
-  LineageScope(Scheduler&, std::uint64_t) noexcept {}
-};
-
-#endif  // EXCOVERY_OBS_ENABLED
 
 }  // namespace excovery::sim

@@ -33,15 +33,11 @@ TimerHandle Scheduler::schedule_at(SimTime when, Callback fn) {
   std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.armed = true;
-#if EXCOVERY_OBS_ENABLED
   slot.ctx = current_ctx_;
-#endif
   slot.fn = std::move(fn);
   heap_push(HeapEntry{when, next_seq_++, index, slot.generation});
   ++live_count_;
-#if EXCOVERY_OBS_ENABLED
   if (live_count_ > max_pending_) max_pending_ = live_count_;
-#endif
   return TimerHandle(index, slot.generation);
 }
 
@@ -51,9 +47,7 @@ void Scheduler::cancel(TimerHandle handle) {
   // Generation mismatch = the handle's timer already ran or was cancelled
   // (possibly with the slot since reused); never touch the new occupant.
   if (!slot.armed || slot.generation != handle.generation_) return;
-#if EXCOVERY_OBS_ENABLED
   ++cancelled_;
-#endif
   release_slot(handle.slot_);
   // The heap entry stays behind and is skipped lazily on pop: its recorded
   // generation no longer matches the slot.
@@ -65,22 +59,16 @@ bool Scheduler::step() {
     heap_pop_root();
     if (!entry_live(entry)) continue;  // cancelled (single indexed check)
     Callback fn = std::move(slots_[entry.slot].fn);
-#if EXCOVERY_OBS_ENABLED
     // Read the captured context before release_slot recycles the slot.
     const std::uint64_t ctx = slots_[entry.slot].ctx;
-#endif
     // Release before invoking: the callback may reschedule into this very
     // slot, and cancelling the executing handle must be a no-op.
     release_slot(entry.slot);
     now_ = entry.when;
     ++executed_;
-#if EXCOVERY_OBS_ENABLED
     current_ctx_ = ctx;
-#endif
     fn();
-#if EXCOVERY_OBS_ENABLED
     current_ctx_ = 0;
-#endif
     return true;
   }
   return false;
@@ -104,20 +92,14 @@ std::size_t Scheduler::run_until(SimTime deadline) {
     if (entry.when > deadline) break;
     heap_pop_root();
     Callback fn = std::move(slots_[entry.slot].fn);
-#if EXCOVERY_OBS_ENABLED
     const std::uint64_t ctx = slots_[entry.slot].ctx;
-#endif
     release_slot(entry.slot);
     now_ = entry.when;
     ++executed_;
     ++executed;
-#if EXCOVERY_OBS_ENABLED
     current_ctx_ = ctx;
-#endif
     fn();
-#if EXCOVERY_OBS_ENABLED
     current_ctx_ = 0;
-#endif
   }
   if (now_ < deadline) now_ = deadline;
   return executed;

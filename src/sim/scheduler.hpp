@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/obs_switch.hpp"
 #include "sim/time.hpp"
 
 namespace excovery::sim {
@@ -180,24 +179,18 @@ class Scheduler {
   /// Arena capacity (slots ever allocated); observability for tests.
   std::size_t arena_size() const noexcept { return slots_.size(); }
 
-  /// Pending-event high-water mark since construction (0 when the build has
-  /// observability hooks compiled out).
+  /// Pending-event high-water mark since construction.
   std::size_t max_pending() const noexcept { return max_pending_; }
-  /// Timers cancelled before firing (0 when hooks are compiled out).
+  /// Timers cancelled before firing.
   std::uint64_t cancelled() const noexcept { return cancelled_; }
 
   /// Ambient causal context: the lineage event id (sim/lineage.hpp) the
   /// currently-running activity descends from.  Captured into every timer
   /// at schedule time and restored around its dispatch, so causality
   /// propagates through arbitrary async chains without explicit plumbing.
-  /// 0 = no context.  Compiled out (always 0) under -DEXCOVERY_OBS=OFF.
-#if EXCOVERY_OBS_ENABLED
+  /// 0 = no context.
   std::uint64_t current_context() const noexcept { return current_ctx_; }
   void set_current_context(std::uint64_t ctx) noexcept { current_ctx_ = ctx; }
-#else
-  static constexpr std::uint64_t current_context() noexcept { return 0; }
-  static constexpr void set_current_context(std::uint64_t) noexcept {}
-#endif
 
  private:
   /// One timer cell in the slab arena.  Recycled through a free list; the
@@ -206,9 +199,7 @@ class Scheduler {
   struct Slot {
     std::uint32_t generation = 1;
     bool armed = false;
-#if EXCOVERY_OBS_ENABLED
     std::uint64_t ctx = 0;  ///< ambient causal context captured at schedule
-#endif
     Callback fn;
   };
 
@@ -247,9 +238,7 @@ class Scheduler {
   std::size_t live_count_ = 0;
   std::size_t max_pending_ = 0;
   std::uint64_t cancelled_ = 0;
-#if EXCOVERY_OBS_ENABLED
   std::uint64_t current_ctx_ = 0;
-#endif
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;  ///< 4-ary min-heap ordered by (when, seq)

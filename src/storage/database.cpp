@@ -9,9 +9,7 @@ namespace excovery::storage {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x45584342;  // "EXCB"
-// Version 1: cell-by-cell tagged Values, row major (read-only legacy).
 // Version 2: columnar blocks with a per-table interned-string dictionary.
-constexpr std::uint16_t kLegacyFormatVersion = 1;
 constexpr std::uint16_t kFormatVersion = 2;
 }  // namespace
 
@@ -103,22 +101,6 @@ Result<TableSchema> read_schema(ByteReader& r) {
   return schema;
 }
 
-/// Version-1 packages store every cell as a tagged Value, row by row; read
-/// them through the checked insert path.
-Status read_legacy_rows(ByteReader& r, Table* t, std::uint64_t row_count,
-                        std::size_t arity) {
-  for (std::uint64_t row_i = 0; row_i < row_count; ++row_i) {
-    Row row;
-    row.reserve(arity);
-    for (std::size_t c = 0; c < arity; ++c) {
-      EXC_ASSIGN_OR_RETURN(Value cell, r.value());
-      row.push_back(std::move(cell));
-    }
-    EXC_TRY(t->insert(std::move(row)));
-  }
-  return {};
-}
-
 }  // namespace
 
 Result<Database> Database::deserialize(const Bytes& data) {
@@ -126,7 +108,7 @@ Result<Database> Database::deserialize(const Bytes& data) {
   EXC_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
   if (magic != kMagic) return err_io("not an ExCovery database file");
   EXC_ASSIGN_OR_RETURN(std::uint16_t version, r.u16());
-  if (version != kFormatVersion && version != kLegacyFormatVersion) {
+  if (version != kFormatVersion) {
     return err_io("unsupported database format version " +
                   std::to_string(version));
   }
@@ -134,14 +116,9 @@ Result<Database> Database::deserialize(const Bytes& data) {
   EXC_ASSIGN_OR_RETURN(std::uint32_t table_count, r.u32());
   for (std::uint32_t i = 0; i < table_count; ++i) {
     EXC_ASSIGN_OR_RETURN(TableSchema schema, read_schema(r));
-    std::size_t arity = schema.columns.size();
     EXC_ASSIGN_OR_RETURN(Table * t, db.create_table(std::move(schema)));
     EXC_ASSIGN_OR_RETURN(std::uint64_t row_count, r.u64());
-    if (version == kLegacyFormatVersion) {
-      EXC_TRY(read_legacy_rows(r, t, row_count, arity));
-    } else {
-      EXC_TRY(t->deserialize_columns(r, row_count));
-    }
+    EXC_TRY(t->deserialize_columns(r, row_count));
   }
   return db;
 }

@@ -6,8 +6,7 @@
 // level in a file based relational SQLite database" (§IV-F).  We store a
 // single binary file with a magic header, a schema section and column
 // blocks (format v2: per-table interned-string dictionary plus one
-// length-prefixed typed block per column; the cell-by-cell v1 format is
-// still readable for old packages).
+// length-prefixed typed block per column).
 #pragma once
 
 #include <map>

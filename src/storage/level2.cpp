@@ -10,6 +10,8 @@ namespace excovery::storage {
 
 namespace {
 
+constexpr std::uint32_t kNodeStoreMagic = 0x4E533300;  // "NS3\0"
+
 /// Move every element of `run_id` out of `src` (order preserved),
 /// compacting `src` in place.
 template <typename T>
@@ -114,7 +116,7 @@ void NodeStore::clear() {
 
 Bytes NodeStore::serialize() const {
   ByteWriter w;
-  w.u32(0x4E533300);  // "NS3\0"
+  w.u32(kNodeStoreMagic);
   w.u64(events_.size());
   for (const RawEvent& event : events_) {
     w.i64(event.run_id);
@@ -150,11 +152,7 @@ Bytes NodeStore::serialize() const {
 Result<NodeStore> NodeStore::deserialize(const Bytes& data) {
   ByteReader r(data);
   EXC_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
-  // 0x4E533200 ("NS2"): single concatenated log string at the tail.
-  // 0x4E533300 ("NS3"): run-scoped log segments.
-  if (magic != 0x4E533200 && magic != 0x4E533300) {
-    return err_io("not a node store blob");
-  }
+  if (magic != kNodeStoreMagic) return err_io("not a node store blob");
   NodeStore store;
   EXC_ASSIGN_OR_RETURN(std::uint64_t event_count, r.u64());
   for (std::uint64_t i = 0; i < event_count; ++i) {
@@ -187,19 +185,12 @@ Result<NodeStore> NodeStore::deserialize(const Bytes& data) {
   };
   EXC_TRY(read_blobs(store.blobs_));
   EXC_TRY(read_blobs(store.plugin_data_));
-  if (magic == 0x4E533200) {
-    // Legacy store: the whole log becomes one experiment-scoped segment.
-    std::string legacy_log;
-    EXC_ASSIGN_OR_RETURN(legacy_log, r.string());
-    store.append_log(std::move(legacy_log));
-  } else {
-    EXC_ASSIGN_OR_RETURN(std::uint64_t segment_count, r.u64());
-    for (std::uint64_t i = 0; i < segment_count; ++i) {
-      LogSegment segment;
-      EXC_ASSIGN_OR_RETURN(segment.run_id, r.i64());
-      EXC_ASSIGN_OR_RETURN(segment.text, r.string());
-      store.log_segments_.push_back(std::move(segment));
-    }
+  EXC_ASSIGN_OR_RETURN(std::uint64_t segment_count, r.u64());
+  for (std::uint64_t i = 0; i < segment_count; ++i) {
+    LogSegment segment;
+    EXC_ASSIGN_OR_RETURN(segment.run_id, r.i64());
+    EXC_ASSIGN_OR_RETURN(segment.text, r.string());
+    store.log_segments_.push_back(std::move(segment));
   }
   return store;
 }

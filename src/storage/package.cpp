@@ -80,28 +80,25 @@ TableSchema provenance_schema() {
            {"Latency", ValueType::kDouble, false}}};
 }
 
-// The Metrics and Provenance tables are deliberately absent here: packages
-// written before they existed must keep loading.
-const char* kRequiredTables[] = {
-    "ExperimentInfo", "Logs",      "EEFiles",
-    "ExperimentMeasurements",      "RunInfos",
-    "ExtraRunMeasurements",        "Events",
-    "Packets"};
+/// The package schema in creation order: a fresh package creates these
+/// tables, and a loaded one must hold each with exactly these columns.
+using SchemaFn = TableSchema (*)();
+constexpr SchemaFn kSchemas[] = {
+    experiment_info_schema, logs_schema,
+    ee_files_schema,        experiment_measurements_schema,
+    run_infos_schema,       extra_run_measurements_schema,
+    events_schema,          packets_schema,
+    metrics_schema,         provenance_schema};
+
+bool same_column(const Column& a, const Column& b) {
+  return a.name == b.name && a.type == b.type && a.nullable == b.nullable;
+}
 
 }  // namespace
 
 ExperimentPackage::ExperimentPackage() {
   // Creation of the canonical schema cannot fail on an empty database.
-  (void)db_.create_table(experiment_info_schema());
-  (void)db_.create_table(logs_schema());
-  (void)db_.create_table(ee_files_schema());
-  (void)db_.create_table(experiment_measurements_schema());
-  (void)db_.create_table(run_infos_schema());
-  (void)db_.create_table(extra_run_measurements_schema());
-  (void)db_.create_table(events_schema());
-  (void)db_.create_table(packets_schema());
-  (void)db_.create_table(metrics_schema());
-  (void)db_.create_table(provenance_schema());
+  for (SchemaFn schema : kSchemas) (void)db_.create_table(schema());
 }
 
 Result<ExperimentPackage> ExperimentPackage::from_database(Database db) {
@@ -116,10 +113,19 @@ Result<ExperimentPackage> ExperimentPackage::load(const std::string& path) {
 }
 
 Status ExperimentPackage::check_schema() const {
-  for (const char* name : kRequiredTables) {
-    if (!db_.table(name)) {
-      return err_validation(std::string("package missing table '") + name +
-                            "'");
+  // Every reader indexes columns by position, so a table with the right
+  // name but other columns is as unreadable as a missing one.
+  for (SchemaFn schema : kSchemas) {
+    const TableSchema expected = schema();
+    const Table* table = db_.table(expected.name);
+    if (!table) {
+      return err_validation("package missing table '" + expected.name + "'");
+    }
+    const std::vector<Column>& columns = table->schema().columns;
+    if (!std::equal(columns.begin(), columns.end(), expected.columns.begin(),
+                    expected.columns.end(), same_column)) {
+      return err_validation("package table '" + expected.name +
+                            "' does not match the package schema");
     }
   }
   return {};
@@ -199,30 +205,20 @@ Status ExperimentPackage::add_packet(const PacketRow& packet) {
 
 Status ExperimentPackage::add_metric(std::int64_t run_id,
                                      const std::string& name, double value) {
-  Table* table = db_.table("Metrics");
-  if (!table) {
-    // Loaded legacy package: materialise the table on first write.
-    EXC_ASSIGN_OR_RETURN(table, db_.create_table(metrics_schema()));
-  }
-  return table->insert({Value{run_id}, Value{name}, Value{value}});
+  return db_.table("Metrics")->insert(
+      {Value{run_id}, Value{name}, Value{value}});
 }
 
 Status ExperimentPackage::add_provenance(const ProvenanceRow& row) {
-  Table* table = db_.table("Provenance");
-  if (!table) {
-    // Loaded legacy package: materialise the table on first write.
-    EXC_ASSIGN_OR_RETURN(table, db_.create_table(provenance_schema()));
-  }
-  return table->insert({Value{row.run_id}, Value{row.path}, Value{row.seq},
-                        Value{row.kind}, Value{row.node_id},
-                        Value{row.detail}, Value{row.time},
-                        Value{row.latency}});
+  return db_.table("Provenance")
+      ->insert({Value{row.run_id}, Value{row.path}, Value{row.seq},
+                Value{row.kind}, Value{row.node_id}, Value{row.detail},
+                Value{row.time}, Value{row.latency}});
 }
 
 std::vector<ProvenanceRow> ExperimentPackage::provenance() const {
   const Table* table = db_.table("Provenance");
   std::vector<ProvenanceRow> out;
-  if (!table) return out;
   out.reserve(table->row_count());
   for (std::size_t r = 0; r < table->row_count(); ++r) {
     RowView row = table->row(r);
@@ -243,7 +239,6 @@ std::vector<ProvenanceRow> ExperimentPackage::provenance() const {
 std::vector<MetricRow> ExperimentPackage::metrics() const {
   const Table* table = db_.table("Metrics");
   std::vector<MetricRow> out;
-  if (!table) return out;
   out.reserve(table->row_count());
   for (std::size_t r = 0; r < table->row_count(); ++r) {
     RowView row = table->row(r);

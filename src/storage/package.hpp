@@ -12,8 +12,8 @@
 //   Packets                | RunID, NodeID, CommonTime, SrcNodeID, Data
 //
 // Two extensions beyond Table I, both written by the observability layer
-// (src/obs), both part of the fresh-package schema but not required on load
-// so packages written by older versions still open:
+// (src/obs).  Every package holds all ten tables, and loading checks each
+// table's columns against this schema:
 //   Metrics    | RunID, Name, Value — framework self-measurements;
 //   Provenance | RunID, Path, Seq, Kind, NodeID, Detail, Time, Latency —
 //     per-discovery critical paths from causal lineage tracing
@@ -84,7 +84,8 @@ class ExperimentPackage {
   /// Fresh package with the Table I schema.
   ExperimentPackage();
 
-  /// Wrap an existing database (load path); validates the schema.
+  /// Wrap an existing database (load path); validates every table's
+  /// columns against the package schema.
   static Result<ExperimentPackage> from_database(Database db);
 
   // ---- single-tuple experiment info -------------------------------------
@@ -109,11 +110,10 @@ class ExperimentPackage {
                                    const std::string& content);
   Status add_event(const EventRow& event);
   Status add_packet(const PacketRow& packet);
-  /// Append to the Metrics table (created on demand, so packages written by
-  /// older versions accept metric rows too).
+  /// Append to the Metrics table.
   Status add_metric(std::int64_t run_id, const std::string& name,
                     double value);
-  /// Append to the Provenance table (created on demand, like Metrics).
+  /// Append to the Provenance table.
   Status add_provenance(const ProvenanceRow& row);
 
   // ---- readers -----------------------------------------------------------
@@ -124,9 +124,9 @@ class ExperimentPackage {
   /// Packets of one run, ordered by CommonTime.
   Result<std::vector<PacketRow>> packets(std::int64_t run_id) const;
   Result<std::vector<RunInfoRow>> run_infos() const;
-  /// All metric rows in insertion order ([] for packages without the table).
+  /// All metric rows in insertion order.
   std::vector<MetricRow> metrics() const;
-  /// All provenance rows in insertion order ([] when the table is absent).
+  /// All provenance rows in insertion order.
   std::vector<ProvenanceRow> provenance() const;
   /// Distinct run ids present in RunInfos, ascending.
   std::vector<std::int64_t> run_ids() const;

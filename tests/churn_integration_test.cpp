@@ -156,7 +156,6 @@ TEST(ChurnIntegration, HybridFallsBackWhenScmPartitionedAway) {
   EXPECT_GE(count_event("n1", "scm_found:n2"), 2);
 }
 
-#if EXCOVERY_OBS_ENABLED
 // Satellite: deterministic per-kind fault counters surface as
 // `faults.<kind>.<counter>` ledger rows in the level-3 Metrics table.
 TEST(ChurnIntegration, FaultCountersReachMetricsTable) {
@@ -192,7 +191,6 @@ TEST(ChurnIntegration, FaultCountersReachMetricsTable) {
   EXPECT_TRUE(has_row("faults.ge_loss.activations"));
   EXPECT_TRUE(has_row("faults.partition.activations"));
 }
-#endif  // EXCOVERY_OBS_ENABLED
 
 }  // namespace
 }  // namespace excovery

@@ -1,40 +1,19 @@
 // Tests for the extension features: timeline visualisation, the
 // dimensional warehouse (§IV-F future work), packet-route analysis,
-// the parallel campaign runner, detailed topology recording (§IV-B4
-// future work), plugin measurements (§IV-B), and the NodeManager's RPC
-// surface exercised directly over the control channel.
+// detailed topology recording (§IV-B4 future work), plugin measurements
+// (§IV-B), and the NodeManager's RPC surface exercised directly over the
+// control channel.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "core/campaign.hpp"
 #include "core/master.hpp"
 #include "core/node_manager.hpp"
 #include "core/scenario.hpp"
 #include "stats/analysis.hpp"
 #include "stats/timeline.hpp"
-#include "storage/repository.hpp"
 #include "storage/warehouse.hpp"
 
 namespace excovery {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("excovery-ext-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter++));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  static inline int counter = 0;
-};
 
 struct Rig {
   core::ExperimentDescription description;
@@ -205,78 +184,6 @@ TEST(RouteStats, MultiHopRoutesVisible) {
   std::size_t sum = 0;
   for (const auto& [hops, count] : routes.value().distribution) sum += count;
   EXPECT_EQ(sum, routes.value().receptions);
-}
-
-// ---- campaign runner ----------------------------------------------------------------
-
-TEST(Campaign, RunsEntriesInParallelAndArchives) {
-  TempDir dir;
-  Result<storage::Repository> repo =
-      storage::Repository::open((dir.path / "repo").string());
-  ASSERT_TRUE(repo.ok());
-
-  std::vector<core::CampaignEntry> entries;
-  for (int i = 0; i < 3; ++i) {
-    core::scenario::TwoPartyOptions options;
-    options.replications = 2;
-    core::CampaignEntry entry;
-    entry.id = "campaign-" + std::to_string(i);
-    entry.description =
-        core::scenario::two_party_sd(options).value();
-    entry.platform.topology =
-        core::scenario::topology_for(entry.description, {}).value();
-    entry.platform.seed = static_cast<std::uint64_t>(i + 1);
-    entries.push_back(std::move(entry));
-  }
-
-  int progress = 0;
-  core::CampaignOptions options;
-  options.workers = 3;
-  options.archive = &repo.value();
-  options.progress = [&progress](const std::string&, bool ok) {
-    if (ok) ++progress;
-  };
-  std::vector<core::CampaignOutcome> outcomes =
-      core::run_campaign(std::move(entries), options);
-
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(progress, 3);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_EQ(outcomes[i].id, "campaign-" + std::to_string(i));
-    ASSERT_TRUE(outcomes[i].package.ok());
-    EXPECT_TRUE(repo.value().contains(outcomes[i].id));
-  }
-  // Different seeds -> different packet timings, same structure.
-  EXPECT_EQ(outcomes[0].package.value().run_ids().size(), 2u);
-}
-
-TEST(Campaign, FailuresIsolatedPerEntry) {
-  std::vector<core::CampaignEntry> entries;
-  {
-    core::scenario::TwoPartyOptions options;
-    options.replications = 1;
-    core::CampaignEntry good;
-    good.id = "good";
-    good.description = core::scenario::two_party_sd(options).value();
-    good.platform.topology =
-        core::scenario::topology_for(good.description, {}).value();
-    entries.push_back(std::move(good));
-  }
-  {
-    core::CampaignEntry bad;
-    bad.id = "bad";
-    core::scenario::TwoPartyOptions options;
-    options.replications = 1;
-    bad.description = core::scenario::two_party_sd(options).value();
-    // Topology missing the described nodes -> platform creation fails.
-    bad.platform.topology = net::Topology::chain(2);
-    entries.push_back(std::move(bad));
-  }
-  std::vector<core::CampaignOutcome> outcomes =
-      core::run_campaign(std::move(entries), {});
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].package.ok());
-  EXPECT_FALSE(outcomes[1].package.ok());
 }
 
 // ---- detailed topology recording -------------------------------------------------------

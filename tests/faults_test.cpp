@@ -730,7 +730,6 @@ TEST(ScheduleEngine, InjectorResetStopsEngineFaults) {
   EXPECT_EQ(fx.injector.active_count(), 0u);
 }
 
-#if EXCOVERY_OBS_ENABLED
 TEST(FaultKindStats, CountersTrackPerKind) {
   Fixture fx(net::Topology::chain(2));
   fx.bind_counter(1);
@@ -758,7 +757,6 @@ TEST(FaultKindStats, CountersTrackPerKind) {
   ASSERT_NE(dup_it, stats.end());
   EXPECT_EQ(dup_it->second.packets_duplicated, 2u);
 }
-#endif
 
 // ---- traffic generation (§IV-D2) ----------------------------------------------------------
 

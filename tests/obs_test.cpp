@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "common/obs_switch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
@@ -205,13 +204,7 @@ TEST(Trace, SpansAsyncAndCountersRenderAsTraceEventJson) {
   buffer.instant(Track::kSim, 0, "hop", "packet", 300);
   buffer.async_end(Track::kSim, 0x42, "pkt 1", "packet", 400);
   buffer.counter(Track::kWall, 0, "runs_completed", buffer.wall_now_ns(), 3.0);
-#if EXCOVERY_OBS_ENABLED
   EXPECT_EQ(buffer.size(), 6u);
-#else
-  // With EXCOVERY_OBS=OFF the RAII spans compile to inert guards; only the
-  // four direct buffer calls record.
-  EXPECT_EQ(buffer.size(), 4u);
-#endif
 
   std::string json = buffer.to_json();
   EXPECT_TRUE(json_balanced(json)) << json;
@@ -224,12 +217,10 @@ TEST(Trace, SpansAsyncAndCountersRenderAsTraceEventJson) {
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-#if EXCOVERY_OBS_ENABLED
   // The complete-span phase and its label come from the spans.
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"run\":1"), std::string::npos);
   EXPECT_NE(json.find("run 1"), std::string::npos);
-#endif
 }
 
 TEST(Trace, DisabledBufferRecordsNothing) {
@@ -243,9 +234,6 @@ TEST(Trace, DisabledBufferRecordsNothing) {
 // ---- thread-pool observer --------------------------------------------------
 
 TEST(ObsContext, PoolObserverCountsTasks) {
-#if !EXCOVERY_OBS_ENABLED
-  GTEST_SKIP() << "thread-pool observer hooks compiled out (EXCOVERY_OBS=OFF)";
-#endif
   ObsContext obs;
   {
     ThreadPool pool(2);
@@ -320,30 +308,6 @@ TEST(PackageMetrics, ExportWritesTotalsAndLedgerRows) {
   EXPECT_EQ(rows[n - 1].value, 10.0);
 }
 
-TEST(PackageMetrics, LegacyDatabaseWithoutMetricsTableLoads) {
-  // A package written before the Metrics table existed: the eight Table I
-  // tables only.  It must load, and add_metric must materialise the table.
-  storage::Database db;
-  for (const char* name :
-       {"ExperimentInfo", "Logs", "EEFiles", "ExperimentMeasurements",
-        "RunInfos", "ExtraRunMeasurements", "Events", "Packets"}) {
-    storage::TableSchema schema;
-    schema.name = name;
-    schema.columns = {{"RunID", ValueType::kInt, false}};
-    ASSERT_TRUE(db.create_table(std::move(schema)).ok());
-  }
-  Result<storage::ExperimentPackage> loaded =
-      storage::ExperimentPackage::from_database(std::move(db));
-  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
-  EXPECT_EQ(loaded.value().database().table(std::string("Metrics")), nullptr);
-  EXPECT_TRUE(loaded.value().metrics().empty());
-  ASSERT_TRUE(loaded.value().add_metric(1, "net.sent", 5.0).ok());
-  std::vector<storage::MetricRow> rows = loaded.value().metrics();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].name, "net.sent");
-  EXPECT_EQ(rows[0].value, 5.0);
-}
-
 // ---- end to end ------------------------------------------------------------
 
 struct Rig {
@@ -395,7 +359,6 @@ TEST(ObsEndToEnd, PackageBytesIdenticalWithAndWithoutObs) {
   EXPECT_EQ(baseline.value().database().serialize(),
             instrumented.value().database().serialize());
 
-#if EXCOVERY_OBS_ENABLED
   // The run actually got observed.
   EXPECT_EQ(obs.merged_cell(obs.ids().runs_completed).count, 3u);
   EXPECT_EQ(obs.merged_cell(obs.ids().runs_attempts).count, 3u);
@@ -408,7 +371,6 @@ TEST(ObsEndToEnd, PackageBytesIdenticalWithAndWithoutObs) {
   EXPECT_NE(json.find("pkt "), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
-#endif  // the byte-identity half above holds in both configurations
 }
 
 TEST(ObsEndToEnd, DeterministicMetricsIdenticalAcrossWorkerCounts) {
@@ -426,17 +388,13 @@ TEST(ObsEndToEnd, DeterministicMetricsIdenticalAcrossWorkerCounts) {
     ASSERT_TRUE(package.ok()) << package.error().to_string();
     packages.push_back(package.value().database().serialize());
     rendered.push_back(obs.format_deterministic_metrics());
-#if EXCOVERY_OBS_ENABLED
     EXPECT_EQ(obs.merged_cell(obs.ids().runs_completed).count, 4u);
-#endif
   }
   EXPECT_EQ(packages[0], packages[1]);
   EXPECT_EQ(rendered[0], rendered[1]) << rendered[0];
-#if EXCOVERY_OBS_ENABLED
   // Sanity: the rendering actually carries per-run ledger lines.
   EXPECT_NE(rendered[0].find("run/1/net.sent="), std::string::npos);
   EXPECT_NE(rendered[0].find("runs.completed=4"), std::string::npos);
-#endif
 }
 
 TEST(ObsEndToEnd, RetriedRunsCountRetriesWithoutDuplicatingLedger) {
@@ -455,7 +413,6 @@ TEST(ObsEndToEnd, RetriedRunsCountRetriesWithoutDuplicatingLedger) {
         run_experiment(rig.value(), std::move(options));
     ASSERT_TRUE(package.ok()) << package.error().to_string();
     rendered.push_back(obs.format_deterministic_metrics());
-#if EXCOVERY_OBS_ENABLED
     EXPECT_EQ(obs.merged_cell(obs.ids().runs_completed).count, 3u);
     EXPECT_EQ(obs.merged_cell(obs.ids().runs_attempts).count, 4u);
     EXPECT_EQ(obs.merged_cell(obs.ids().runs_retries).count, 1u);
@@ -465,7 +422,6 @@ TEST(ObsEndToEnd, RetriedRunsCountRetriesWithoutDuplicatingLedger) {
     ASSERT_NE(first, std::string::npos);
     EXPECT_EQ(rendered.back().find("run/2/net.sent=", first + 1),
               std::string::npos);
-#endif
   }
   EXPECT_EQ(rendered[0], rendered[1]);
 }

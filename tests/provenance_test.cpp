@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/obs_switch.hpp"
 #include "common/value.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
@@ -30,8 +29,6 @@ using core::MasterOptions;
 using core::SimPlatform;
 using core::SimPlatformConfig;
 using core::scenario::TwoPartyOptions;
-
-#if EXCOVERY_OBS_ENABLED
 
 // ---- lineage log ------------------------------------------------------------
 
@@ -399,8 +396,6 @@ TEST(FlightRecorder, WriteDumpCreatesDirectoryAndNamedFile) {
   std::filesystem::remove_all(dir);
 }
 
-#endif  // EXCOVERY_OBS_ENABLED
-
 // ---- end to end -------------------------------------------------------------
 
 struct Rig {
@@ -461,7 +456,6 @@ TEST(ProvenanceEndToEnd, RowsIdenticalAcrossWorkerCountsAndRetries) {
     ASSERT_TRUE(package.ok()) << package.error().to_string();
     packages.push_back(package.value().database().serialize());
     rendered.push_back(obs.provenance_json());
-#if EXCOVERY_OBS_ENABLED
     EXPECT_GT(obs.provenance().size(), 0u);
     // Exactly one path set per run: the retried run did not double-record.
     std::vector<storage::ProvenanceRow> rows = obs.provenance().sorted();
@@ -471,7 +465,6 @@ TEST(ProvenanceEndToEnd, RowsIdenticalAcrossWorkerCountsAndRetries) {
       EXPECT_FALSE(a.run_id == b.run_id && a.path == b.path &&
                    a.seq == b.seq);
     }
-#endif
   }
   EXPECT_EQ(rendered[0], rendered[1]) << rendered[0];
   EXPECT_EQ(packages[0], packages[1]);
@@ -494,7 +487,6 @@ TEST(ProvenanceEndToEnd, ExportIsExplicitAndFillsProvenanceTable) {
   EXPECT_TRUE(package.value().provenance().empty());
   ASSERT_TRUE(obs.export_provenance(package.value()).ok());
   std::vector<storage::ProvenanceRow> rows = package.value().provenance();
-#if EXCOVERY_OBS_ENABLED
   ASSERT_FALSE(rows.empty());
   // Every path starts at its topmost causal ancestor with zero latency; in
   // the two-party scenario the discovery descends from the SM's init event
@@ -512,11 +504,6 @@ TEST(ProvenanceEndToEnd, ExportIsExplicitAndFillsProvenanceTable) {
   }
   EXPECT_TRUE(saw_discovery);
   EXPECT_EQ(rows.size(), obs.provenance().size());
-#else
-  EXPECT_TRUE(rows.empty());
-  // Same serializer as OBS=ON, over an empty ledger.
-  EXPECT_EQ(obs.provenance_json(), "{\n\"paths\":[\n]\n}\n");
-#endif
 }
 
 TEST(ProvenanceEndToEnd, FailedAttemptDumpsFlightRecorder) {
@@ -537,7 +524,6 @@ TEST(ProvenanceEndToEnd, FailedAttemptDumpsFlightRecorder) {
 
   const std::string dump =
       (std::filesystem::path(dir) / "flight-run2-attempt1.txt").string();
-#if EXCOVERY_OBS_ENABLED
   // Exactly the failed attempt dumped; successful attempts never do.
   ASSERT_TRUE(std::filesystem::exists(dump));
   std::size_t files = 0;
@@ -552,9 +538,6 @@ TEST(ProvenanceEndToEnd, FailedAttemptDumpsFlightRecorder) {
   EXPECT_EQ(line, "# ExCovery flight recorder");
   std::getline(file, line);
   EXPECT_NE(line.find("# run 2 attempt 1"), std::string::npos) << line;
-#else
-  EXPECT_FALSE(std::filesystem::exists(dump));
-#endif
   std::filesystem::remove_all(dir);
 }
 

@@ -7,12 +7,14 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <thread>
+#include <vector>
 
 #include "common/strings.hpp"
-#include "core/campaign.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
+#include "core/service.hpp"
 
 namespace excovery::core {
 namespace {
@@ -311,59 +313,46 @@ TEST(RunParallel, SequentialResumeSplicesMiddleRun) {
                       package.value().database(), "sequential resume");
 }
 
-// Satellite (b): campaign- and run-level parallelism share one pool without
-// deadlocking, and the progress callback is serialized (a plain counter
-// with no locking must come out exact).
+// Campaign- and run-level parallelism nest without deadlocking: three
+// experiments fan out over a two-worker ExperimentService pool (one queues),
+// and each master shards its runs over run_workers = 2 helper threads of
+// its own.  Every package is bit-identical to running that master alone.
 TEST(RunParallel, CampaignNestingSharesPoolWithoutDeadlock) {
   TwoPartyOptions options = small_experiment(3);
   Result<ExperimentDescription> description = scenario::two_party_sd(options);
   ASSERT_TRUE(description.ok());
 
-  std::vector<CampaignEntry> entries;
+  ExperimentService::Config config;
+  config.workers = 2;
+  ExperimentService service(std::move(config));
+
+  std::vector<std::shared_future<ServiceReply>> pending;
   for (int i = 0; i < 3; ++i) {
-    CampaignEntry entry;
-    entry.id = "exp" + std::to_string(i);
-    entry.description = description.value();
-    Result<net::Topology> topology =
-        scenario::topology_for(entry.description, {});
-    ASSERT_TRUE(topology.ok());
-    entry.platform.topology = std::move(topology).value();
-    entry.platform.seed = 100 + static_cast<std::uint64_t>(i);
-    entry.master.run_workers = 2;  // nested: run workers ride the pool
-    entries.push_back(std::move(entry));
+    Submission submission;
+    submission.description = description.value();
+    submission.scope.platform_seed = 100 + static_cast<std::uint64_t>(i);
+    submission.run_workers = 2;  // nested: run workers inside a pool task
+    pending.push_back(service.submit_async(submission));
   }
+  std::vector<ServiceReply> replies;
+  for (const std::shared_future<ServiceReply>& future : pending) {
+    replies.push_back(future.get());
+  }
+  EXPECT_EQ(service.stats().simulations, 3u);
 
-  int progress_calls = 0;  // unsynchronized on purpose: callback contract
-  CampaignOptions campaign;
-  campaign.workers = 2;
-  campaign.progress = [&](const std::string&, bool ok) {
-    ++progress_calls;
-    EXPECT_TRUE(ok);
-  };
-  std::vector<CampaignOutcome> outcomes =
-      run_campaign(entries, campaign);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(progress_calls, 3);
-
-  // Each outcome is bit-identical to running that entry's master alone.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(outcomes[i].package.ok())
-        << outcomes[i].package.error().to_string();
-    Result<net::Topology> topology =
-        scenario::topology_for(description.value(), {});
-    ASSERT_TRUE(topology.ok());
-    SimPlatformConfig config;
-    config.topology = std::move(topology).value();
-    config.seed = 100 + static_cast<std::uint64_t>(i);
-    Result<std::unique_ptr<SimPlatform>> platform =
-        SimPlatform::create(description.value(), std::move(config));
-    ASSERT_TRUE(platform.ok());
-    ExperiMaster master(description.value(), *platform.value());
+    ASSERT_TRUE(replies[i].status.ok()) << replies[i].status.error().to_string();
+    EXPECT_EQ(replies[i].outcome, SubmitOutcome::kSimulated);
+    ASSERT_NE(replies[i].package, nullptr);
+    Result<TestRig> rig =
+        make_setup(options, {}, 100 + static_cast<std::uint64_t>(i));
+    ASSERT_TRUE(rig.ok());
+    ExperiMaster master(rig.value().description, *rig.value().platform);
     Result<storage::ExperimentPackage> package = master.execute();
     ASSERT_TRUE(package.ok());
-    EXPECT_EQ(package.value().database().serialize(),
-              outcomes[i].package.value().database().serialize())
-        << outcomes[i].id;
+    expect_same_package(package.value().database(),
+                        replies[i].package->database(),
+                        ("campaign entry " + std::to_string(i)).c_str());
   }
 }
 

@@ -64,6 +64,32 @@ Bytes bytes_of(const storage::ExperimentPackage& package) {
   return package.database().serialize();
 }
 
+/// Package bytes of an independent sequential (run_workers = 1) simulation
+/// of `submission` on its own ExperiMaster, outside any service.
+Bytes standalone_bytes(const Submission& submission) {
+  Result<net::Topology> topology =
+      scenario::topology_for(submission.description,
+                             submission.scope.topology);
+  EXPECT_TRUE(topology.ok());
+  SimPlatformConfig platform_config;
+  platform_config.topology = std::move(topology).value();
+  platform_config.seed = submission.scope.platform_seed;
+  Result<std::unique_ptr<SimPlatform>> platform = SimPlatform::create(
+      submission.description, std::move(platform_config));
+  EXPECT_TRUE(platform.ok());
+  MasterOptions master_options;
+  master_options.max_attempts_per_run =
+      submission.scope.max_attempts_per_run;
+  master_options.run_watchdog = submission.scope.run_watchdog;
+  master_options.settle = submission.scope.settle;
+  master_options.run_workers = 1;
+  ExperiMaster master(submission.description, *platform.value(),
+                      std::move(master_options));
+  Result<storage::ExperimentPackage> fresh = master.execute();
+  EXPECT_TRUE(fresh.ok());
+  return fresh.ok() ? bytes_of(fresh.value()) : Bytes{};
+}
+
 TEST(ExperimentService, MissThenMemoryHitIsByteIdentical) {
   const Submission submission = small_submission();
   ExperimentService::Config config;
@@ -83,26 +109,7 @@ TEST(ExperimentService, MissThenMemoryHitIsByteIdentical) {
 
   // The answer-invisibility invariant: a fresh, independent simulation of
   // the same campaign produces the exact bytes the cache served.
-  Result<net::Topology> topology =
-      scenario::topology_for(submission.description,
-                             submission.scope.topology);
-  ASSERT_TRUE(topology.ok());
-  SimPlatformConfig platform_config;
-  platform_config.topology = std::move(topology).value();
-  platform_config.seed = submission.scope.platform_seed;
-  Result<std::unique_ptr<SimPlatform>> platform = SimPlatform::create(
-      submission.description, std::move(platform_config));
-  ASSERT_TRUE(platform.ok());
-  MasterOptions master_options;
-  master_options.max_attempts_per_run =
-      submission.scope.max_attempts_per_run;
-  master_options.run_watchdog = submission.scope.run_watchdog;
-  master_options.settle = submission.scope.settle;
-  ExperiMaster master(submission.description, *platform.value(),
-                      std::move(master_options));
-  Result<storage::ExperimentPackage> fresh = master.execute();
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(bytes_of(fresh.value()), bytes_of(*second.package));
+  EXPECT_EQ(standalone_bytes(submission), bytes_of(*second.package));
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -162,6 +169,9 @@ TEST(ExperimentService, ConcurrentIdenticalSubmissionsSimulateOnce) {
   EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kClients - 1));
 }
 
+// Two distinct submissions simulate at once on the service pool, each
+// master in turn sharding its runs over run_workers = 2 helper threads.
+// Every reply is byte-identical to a standalone sequential run.
 TEST(ExperimentService, DistinctSubmissionsSimulateInParallel) {
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -180,8 +190,12 @@ TEST(ExperimentService, DistinctSubmissionsSimulateInParallel) {
   };
   ExperimentService service(std::move(config));
 
-  auto a = service.submit_async(small_submission(1));
-  auto b = service.submit_async(small_submission(2));
+  Submission submission_a = small_submission(1);
+  Submission submission_b = small_submission(2);
+  submission_a.run_workers = 2;
+  submission_b.run_workers = 2;
+  auto a = service.submit_async(submission_a);
+  auto b = service.submit_async(submission_b);
   const ServiceReply reply_a = a.get();
   const ServiceReply reply_b = b.get();
 
@@ -193,6 +207,11 @@ TEST(ExperimentService, DistinctSubmissionsSimulateInParallel) {
     EXPECT_EQ(in_flight, 2);
   }
   EXPECT_EQ(service.stats().simulations, 2u);
+
+  ASSERT_NE(reply_a.package, nullptr);
+  ASSERT_NE(reply_b.package, nullptr);
+  EXPECT_EQ(bytes_of(*reply_a.package), standalone_bytes(submission_a));
+  EXPECT_EQ(bytes_of(*reply_b.package), standalone_bytes(submission_b));
 }
 
 TEST(ExperimentService, AdmissionControlRejectsDeterministicallyAtDepth) {
@@ -298,23 +317,37 @@ TEST(ExperimentService, CorruptCasEntryDegradesToMiss) {
     fresh_bytes = bytes_of(*reply.package);
   }
 
-  // Truncate the stored package behind the repository's back.
+  // Damage the stored package behind the repository's back: garbage, then
+  // a well-formed database whose tables lack the package columns.
   const fs::path cas_file =
       dir.path / storage::Repository::cas_relative_path(digest);
   ASSERT_TRUE(fs::exists(cas_file));
-  std::ofstream(cas_file, std::ios::binary | std::ios::trunc) << "garbage";
+  storage::Database wrong_columns;
+  for (const std::string& name :
+       storage::ExperimentPackage().database().table_names()) {
+    ASSERT_TRUE(
+        wrong_columns
+            .create_table({name, {{"Only", ValueType::kString, true}}})
+            .ok());
+  }
+  for (const Bytes& damaged :
+       {Bytes{'g', 'a', 'r', 'b', 'a', 'g', 'e'}, wrong_columns.serialize()}) {
+    std::ofstream(cas_file, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(damaged.data()),
+               static_cast<std::streamsize>(damaged.size()));
 
-  ExperimentService::Config config;
-  config.workers = 1;
-  config.memory_cache_capacity = 0;
-  config.repository = &repo.value();
-  ExperimentService service(std::move(config));
-  const ServiceReply reply = service.submit(submission);
-  // The unreadable entry degrades to a re-simulation, not a failure, and
-  // the re-simulated package is still the canonical bytes.
-  EXPECT_EQ(reply.outcome, SubmitOutcome::kSimulated);
-  ASSERT_NE(reply.package, nullptr);
-  EXPECT_EQ(bytes_of(*reply.package), fresh_bytes);
+    ExperimentService::Config config;
+    config.workers = 1;
+    config.memory_cache_capacity = 0;
+    config.repository = &repo.value();
+    ExperimentService service(std::move(config));
+    const ServiceReply reply = service.submit(submission);
+    // The unreadable entry degrades to a re-simulation, not a failure, and
+    // the re-simulated package is still the canonical bytes.
+    EXPECT_EQ(reply.outcome, SubmitOutcome::kSimulated);
+    ASSERT_NE(reply.package, nullptr);
+    EXPECT_EQ(bytes_of(*reply.package), fresh_bytes);
+  }
 }
 
 TEST(ExperimentService, LruEvictsLeastRecentlyUsed) {

@@ -204,8 +204,8 @@ struct ReplayResult {
 /// A seeded mesh scenario exercising flood fan-out, unicast chains, filter
 /// delays, link loss, timer cancel/reschedule — everything that feeds the
 /// (when, seq) execution order.  Must produce a bit-identical trace on
-/// every invocation (the platform property §IV-A depends on; run_campaign
-/// promises bit-identical parallel results on top of it).
+/// every invocation (the platform property §IV-A depends on; parallel
+/// execution promises bit-identical results on top of it).
 ReplayResult run_replay_scenario() {
   ReplayResult result;
   Scheduler scheduler;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 
 #include "stats/analysis.hpp"
@@ -292,47 +293,16 @@ TEST(Database, SerializationIsDeterministic) {
   EXPECT_EQ(db.serialize(), first);
 }
 
-TEST(Database, LegacyV1FormatStillReadable) {
-  // Hand-written version-1 image: cell-by-cell tagged Values, row major.
-  ByteWriter w;
-  w.u32(0x45584342);  // magic
-  w.u16(1);           // legacy version
-  w.u32(1);           // one table
-  w.string("Points");
-  w.u16(3);
-  w.string("Id");
-  w.u8(static_cast<std::uint8_t>(ValueType::kInt));
-  w.u8(0);
-  w.string("Label");
-  w.u8(static_cast<std::uint8_t>(ValueType::kString));
-  w.u8(1);
-  w.string("X");
-  w.u8(static_cast<std::uint8_t>(ValueType::kDouble));
-  w.u8(0);
-  w.u64(2);
-  w.value(Value{1});
-  w.value(Value{"a"});
-  w.value(Value{0.5});
-  w.value(Value{2});
-  w.value(Value{});
-  w.value(Value{1.5});
-
-  Result<Database> db = Database::deserialize(w.take());
-  ASSERT_TRUE(db.ok());
-  const Table* t = db.value().table("Points");
-  ASSERT_NE(t, nullptr);
-  ASSERT_EQ(t->row_count(), 2u);
-  EXPECT_EQ(t->row(0).materialize(), (Row{Value{1}, Value{"a"}, Value{0.5}}));
-  EXPECT_TRUE(t->row(1).is_null(1));
-}
-
 TEST(Database, CorruptV2ImagesRejected) {
-  // Unsupported version.
-  ByteWriter w;
-  w.u32(0x45584342);
-  w.u16(9);
-  w.u32(0);
-  EXPECT_FALSE(Database::deserialize(w.take()).ok());
+  // Unsupported versions: the retired cell-by-cell format 1 and an unknown
+  // one.  Both images would be complete (empty) databases.
+  for (std::uint16_t version : {1, 9}) {
+    ByteWriter w;
+    w.u32(0x45584342);
+    w.u16(version);
+    w.u32(0);
+    EXPECT_FALSE(Database::deserialize(w.take()).ok()) << "version " << version;
+  }
 
   Database db;
   Table* t = db.create_table(point_schema()).value();
@@ -358,8 +328,7 @@ TEST(Database, CorruptV2ImagesRejected) {
 TEST(Package, SchemaMatchesTableI) {
   ExperimentPackage package;
   // The eight tables of the paper's Table I, in order, plus the Metrics and
-  // Provenance extensions (out-of-band observability data; not required on
-  // load, so legacy packages still open).
+  // Provenance extensions (out-of-band observability data).
   EXPECT_EQ(package.database().table_names(),
             (std::vector<std::string>{
                 "ExperimentInfo", "Logs", "EEFiles", "ExperimentMeasurements",
@@ -438,8 +407,58 @@ TEST(Package, SaveLoadPreservesEverything) {
 }
 
 TEST(Package, FromDatabaseValidatesSchema) {
-  Database empty;
-  EXPECT_FALSE(ExperimentPackage::from_database(std::move(empty)).ok());
+  const ExperimentPackage fresh;
+  // A database holding the fresh package's tables after `edit`, which may
+  // change a schema or return false to leave its table out.
+  auto database_from = [&fresh](
+                           const std::function<bool(TableSchema&)>& edit) {
+    Database db;
+    for (const std::string& name : fresh.database().table_names()) {
+      TableSchema schema = fresh.database().table(name)->schema();
+      if (edit(schema)) {
+        EXPECT_TRUE(db.create_table(std::move(schema)).ok());
+      }
+    }
+    return db;
+  };
+  EXPECT_TRUE(ExperimentPackage::from_database(
+                  database_from([](TableSchema&) { return true; }))
+                  .ok());
+
+  EXPECT_FALSE(ExperimentPackage::from_database(Database{}).ok());
+
+  // The eight Table I tables without the Metrics and Provenance extensions.
+  EXPECT_FALSE(ExperimentPackage::from_database(
+                   database_from([](TableSchema& schema) {
+                     return schema.name != "Metrics" &&
+                            schema.name != "Provenance";
+                   }))
+                   .ok());
+
+  // One column's nullability flipped.
+  EXPECT_FALSE(ExperimentPackage::from_database(
+                   database_from([](TableSchema& schema) {
+                     if (schema.name == "Events") {
+                       schema.columns[4].nullable = !schema.columns[4].nullable;
+                     }
+                     return true;
+                   }))
+                   .ok());
+
+  // Every table name present, each with one string column and one row.  The
+  // readers index columns by position, so this must be rejected, also when
+  // it arrives through the on-disk format.
+  Database wrong_columns = database_from([](TableSchema& schema) {
+    schema.columns = {{"Only", ValueType::kString, true}};
+    return true;
+  });
+  for (const std::string& name : wrong_columns.table_names()) {
+    ASSERT_TRUE(wrong_columns.table(name)->insert({Value{"x"}}).ok());
+  }
+  Result<Database> reloaded = Database::deserialize(wrong_columns.serialize());
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_FALSE(
+      ExperimentPackage::from_database(std::move(reloaded).value()).ok());
 }
 
 // ---- Level2Store -------------------------------------------------------------------
@@ -499,6 +518,28 @@ TEST(Level2, DirectoryRoundTrip) {
   EXPECT_EQ(loaded.value().node("SM0").packets()[0].data, (Bytes{7, 8}));
   EXPECT_EQ(loaded.value().offset_ns(1, "SU0"), -5000);
   EXPECT_TRUE(loaded.value().run_complete(1));
+}
+
+TEST(Level2, NodeStoreRejectsRetiredAndUnknownMagic) {
+  NodeStore store;
+  store.record_event({1, 123, "e", Value{"p"}});
+  store.append_run_log(1, "hello\n");
+  const Bytes good = store.serialize();
+  ASSERT_TRUE(NodeStore::deserialize(good).ok());
+
+  // A complete image of the retired NS2 layout (one log string at the tail).
+  ByteWriter ns2;
+  ns2.u32(0x4E533200);
+  for (int section = 0; section < 4; ++section) ns2.u64(0);
+  ns2.string("hello\n");
+  EXPECT_FALSE(NodeStore::deserialize(ns2.take()).ok());
+
+  // A valid NS3 body behind an unknown magic.
+  ByteWriter unknown;
+  unknown.u32(0x4E533400);
+  Bytes image = unknown.take();
+  image.insert(image.end(), good.begin() + 4, good.end());
+  EXPECT_FALSE(NodeStore::deserialize(image).ok());
 }
 
 TEST(Level2, LoadFromEmptyDirectoryYieldsEmptyStore) {
