@@ -32,6 +32,11 @@ Result<std::int64_t> Value::to_int() const {
       if (d != std::floor(d)) {
         return err_invalid("double " + std::to_string(d) + " is not integral");
       }
+      // Only [-2^63, 2^63) converts to int64 without undefined behaviour.
+      if (d < -0x1p63 || d >= 0x1p63) {
+        return err_invalid("double " + std::to_string(d) +
+                           " is outside the int64 range");
+      }
       return static_cast<std::int64_t>(d);
     }
     case ValueType::kString: {

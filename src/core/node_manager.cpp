@@ -30,12 +30,15 @@ Result<std::int64_t> param_int(const ValueMap& params, const std::string& key,
   return it->second.to_int();
 }
 
-Result<ValueMap> unwrap(const ValueArray& rpc_params) {
-  if (rpc_params.empty()) return ValueMap{};
+/// The call's single struct parameter, by reference; an empty struct when
+/// the call has no parameters.
+Result<const ValueMap*> unwrap(const ValueArray& rpc_params) {
+  static const ValueMap kNoParams;
+  if (rpc_params.empty()) return &kNoParams;
   if (!rpc_params.front().is_map()) {
     return err_rpc("expected a single struct parameter");
   }
-  return rpc_params.front().as_map();
+  return &rpc_params.front().as_map();
 }
 
 }  // namespace
@@ -53,10 +56,10 @@ NodeManager::NodeManager(SimPlatform& platform, std::string name,
 NodeManager::~NodeManager() = default;
 
 void NodeManager::register_methods() {
-  auto wrap = [this](auto handler) {
-    return [this, handler](const ValueArray& rpc_params) -> Result<Value> {
-      EXC_ASSIGN_OR_RETURN(ValueMap params, unwrap(rpc_params));
-      return handler(params);
+  auto wrap = [](auto handler) {
+    return [handler](const ValueArray& rpc_params) -> Result<Value> {
+      EXC_ASSIGN_OR_RETURN(const ValueMap* params, unwrap(rpc_params));
+      return handler(*params);
     };
   };
 

@@ -5,14 +5,19 @@
 // ref [23], Winer's spec).  This codec implements the spec's data model:
 // <methodCall> / <methodResponse>, scalar types (i4/int, boolean, double,
 // string, base64, dateTime omitted), <array> and <struct>, plus the widely
-// deployed <nil/> extension — mapped onto excovery::Value.
+// deployed <nil/> and <i8> extensions — mapped onto excovery::Value.
+//
+// The codec never builds a DOM (DESIGN.md §17).  The writer streams the
+// wire text straight into a caller's buffer; the reader is a pull parser
+// specialised to the XML-RPC grammar that matches its fixed tags as
+// literals and builds Values directly.  Both share escaping and reference
+// decoding with src/xml.
 #pragma once
 
 #include <string>
 
 #include "common/error.hpp"
 #include "common/value.hpp"
-#include "xml/dom.hpp"
 
 namespace excovery::rpc {
 
@@ -47,13 +52,13 @@ struct MethodResponse {
 std::string encode(const MethodCall& call);
 std::string encode(const MethodResponse& response);
 
+/// The streaming writer behind encode(): append the same text to `out`, so
+/// a caller can reuse one buffer across messages.
+void encode_into(std::string& out, const MethodCall& call);
+void encode_into(std::string& out, const MethodResponse& response);
+
 /// Parse XML-RPC document text.
 Result<MethodCall> decode_call(const std::string& xml_text);
 Result<MethodResponse> decode_response(const std::string& xml_text);
-
-/// Value <-> <value> element (exposed for tests and for embedding values in
-/// experiment documents).
-void encode_value(const Value& value, xml::Element& parent);
-Result<Value> decode_value(const xml::Element& value_element);
 
 }  // namespace excovery::rpc

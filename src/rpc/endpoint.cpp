@@ -7,7 +7,7 @@ void RpcServer::register_method(std::string name, Method method) {
   methods_[std::move(name)] = std::move(method);
 }
 
-bool RpcServer::has_method(const std::string& name) const {
+bool RpcServer::has_method(std::string_view name) const {
   std::lock_guard lock(mutex_);
   return methods_.find(name) != methods_.end();
 }
@@ -17,29 +17,31 @@ std::size_t RpcServer::method_count() const {
   return methods_.size();
 }
 
-Result<std::string> RpcServer::handle(const std::string& request_xml) {
+Status RpcServer::handle(const std::string& request_xml,
+                         const ResponseReader& read) {
   EXC_ASSIGN_OR_RETURN(MethodCall call, decode_call(request_xml));
-  return encode(dispatch(call));
+  std::lock_guard lock(mutex_);
+  MethodResponse response = dispatch_locked(call);
+  response_xml_.clear();
+  encode_into(response_xml_, response);
+  return read(response_xml_);
 }
 
 MethodResponse RpcServer::dispatch(const MethodCall& call) {
-  Method method;
-  {
-    std::lock_guard lock(mutex_);
-    auto it = methods_.find(call.method);
-    if (it == methods_.end()) {
-      return MethodResponse::fault(
-          -32601, "method not found: " + call.method);
-    }
-    method = it->second;
-  }
-  // Hold the lock across execution as well: the prototype allows "only one
-  // access at a time" per node object.  Re-acquire to serialise bodies.
   std::lock_guard lock(mutex_);
-  Result<Value> outcome = method(call.params);
+  return dispatch_locked(call);
+}
+
+MethodResponse RpcServer::dispatch_locked(const MethodCall& call) {
+  // The method body runs under the lock too: the prototype allows "only
+  // one access at a time" per node object.
+  auto it = methods_.find(std::string_view(call.method));
+  if (it == methods_.end()) {
+    return MethodResponse::fault(-32601, "method not found: " + call.method);
+  }
+  Result<Value> outcome = it->second(call.params);
   if (!outcome.ok()) {
-    return MethodResponse::fault(
-        -32000, outcome.error().to_string());
+    return MethodResponse::fault(-32000, outcome.error().to_string());
   }
   return MethodResponse::success(std::move(outcome).value());
 }
@@ -60,8 +62,9 @@ std::size_t InProcessTransport::endpoint_count() const {
   return servers_.size();
 }
 
-Result<std::string> InProcessTransport::round_trip(
-    const std::string& endpoint, const std::string& request_xml) {
+Status InProcessTransport::round_trip(const std::string& endpoint,
+                                      const std::string& request_xml,
+                                      const ResponseReader& read) {
   RpcServer* server = nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -71,15 +74,18 @@ Result<std::string> InProcessTransport::round_trip(
     }
     server = it->second;
   }
-  return server->handle(request_xml);
+  return server->handle(request_xml, read);
 }
 
 Result<Value> RpcClient::call(const std::string& method, ValueArray params) {
-  MethodCall request{method, std::move(params)};
-  EXC_ASSIGN_OR_RETURN(std::string response_xml,
-                       transport_->round_trip(endpoint_, encode(request)));
-  EXC_ASSIGN_OR_RETURN(MethodResponse response,
-                       decode_response(response_xml));
+  std::string request_xml = encode(MethodCall{method, std::move(params)});
+  MethodResponse response;
+  EXC_TRY(transport_->round_trip(
+      endpoint_, request_xml,
+      [&response](const std::string& response_xml) -> Status {
+        EXC_ASSIGN_OR_RETURN(response, decode_response(response_xml));
+        return {};
+      }));
   if (response.is_fault) {
     return err_rpc("fault " + std::to_string(response.fault_code) + " from " +
                    endpoint_ + "." + method + ": " + response.fault_string);

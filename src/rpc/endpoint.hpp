@@ -15,46 +15,58 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "rpc/codec.hpp"
 
 namespace excovery::rpc {
 
-/// Server-side registry of callable methods.  Dispatch is serialised by a
-/// per-server mutex (the prototype's node-object locking).
+/// Receives one response's XML-RPC text.  The text sits in the answering
+/// endpoint's reused buffer and is valid only during the call.
+using ResponseReader = std::function<Status(const std::string& response_xml)>;
+
+/// Server-side registry of callable methods.  One per-server mutex (the
+/// prototype's node-object locking) serialises dispatch, method bodies and
+/// the response buffer.
 class RpcServer {
  public:
   using Method = std::function<Result<Value>(const ValueArray& params)>;
 
   /// Register a method; replaces any previous registration of that name.
   void register_method(std::string name, Method method);
-  bool has_method(const std::string& name) const;
+  bool has_method(std::string_view name) const;
   std::size_t method_count() const;
 
-  /// Decode request text, dispatch, encode response text.  Transport-level
-  /// errors (undecodable request) surface as Result errors; application
-  /// errors travel inside the response as XML-RPC faults.
-  Result<std::string> handle(const std::string& request_xml);
+  /// Decode request text, then under the server lock dispatch, write the
+  /// response text into this endpoint's reused buffer and pass it to
+  /// `read`, which runs inside the lock because the buffer is only stable
+  /// there.  Transport-level errors (undecodable request) surface as
+  /// errors; application errors travel inside the response as XML-RPC
+  /// faults.
+  Status handle(const std::string& request_xml, const ResponseReader& read);
 
   /// Dispatch an already-decoded call (used by tests and direct callers).
   MethodResponse dispatch(const MethodCall& call);
 
  private:
+  MethodResponse dispatch_locked(const MethodCall& call);
+
   mutable std::mutex mutex_;
-  std::map<std::string, Method> methods_;
+  std::map<std::string, Method, std::less<>> methods_;
+  std::string response_xml_;  ///< guarded by mutex_
 };
 
-/// Transport interface: move request text to a named server, return its
-/// response text.
+/// Transport interface: move request text to a named server and hand its
+/// response text to a reader.
 class Transport {
  public:
   virtual ~Transport() = default;
-  virtual Result<std::string> round_trip(const std::string& endpoint,
-                                         const std::string& request_xml) = 0;
+  virtual Status round_trip(const std::string& endpoint,
+                            const std::string& request_xml,
+                            const ResponseReader& read) = 0;
 };
 
 /// In-process transport: a registry of servers by endpoint name.
@@ -66,12 +78,13 @@ class InProcessTransport final : public Transport {
   void detach(const std::string& endpoint);
   std::size_t endpoint_count() const;
 
-  Result<std::string> round_trip(const std::string& endpoint,
-                                 const std::string& request_xml) override;
+  Status round_trip(const std::string& endpoint,
+                    const std::string& request_xml,
+                    const ResponseReader& read) override;
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, RpcServer*> servers_;
+  std::map<std::string, RpcServer*, std::less<>> servers_;
 };
 
 /// Client-side proxy bound to one endpoint.

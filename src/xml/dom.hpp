@@ -2,9 +2,9 @@
 //
 // ExCovery's abstract experiment description is an XML document (§IV-C of
 // the paper; Figures 4-10 show fragments) and every answer-relevant byte —
-// descriptions, XML-RPC control messages, the canonical form feeding
-// campaign_digest — flows through this model.  The DOM is therefore built
-// for zero-copy operation (DESIGN.md §15):
+// descriptions and the canonical form feeding campaign_digest — flows
+// through this model (XML-RPC control messages stream without it, DESIGN.md
+// §17).  The DOM is therefore built for zero-copy operation (DESIGN.md §15):
 //
 //  * Every node (Element, Attribute, TextSegment) is bump-allocated from a
 //    per-document Arena and freed all at once when the Document dies.
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "xml/text.hpp"
 
 namespace excovery::xml {
 
@@ -39,9 +40,6 @@ class Element;
 namespace detail {
 class NodeFactory;
 }
-
-/// Whitespace set used when trimming text content (matches strings::trim).
-inline constexpr std::string_view kSpaceChars = " \t\n\r\f\v";
 
 /// Chunked bump allocator.  Allocation is a pointer increment; memory is
 /// released only when the arena is destroyed.  Only trivially destructible

@@ -139,78 +139,12 @@ class Parser {
     return view(start, pos_);
   }
 
-  /// Decode &amp; &lt; &gt; &apos; &quot; &#NN; &#xNN; — the '&' is
-  /// already consumed; the decoded bytes are appended to `out`.
+  /// Decode a reference — the '&' is already consumed; the decoded bytes
+  /// are appended to `out`.
   Status append_entity(std::string& out) {
-    std::size_t start = pos_;
-    while (pos_ < in_.size() && in_[pos_] != ';') {
-      ++pos_;
-      if (pos_ - start > 8) return error("unterminated entity reference");
-    }
-    if (pos_ >= in_.size()) return error("unterminated entity reference");
-    std::string_view entity = view(start, pos_);
-    ++pos_;  // ';'
-    if (entity == "amp") {
-      out.push_back('&');
-      return {};
-    }
-    if (entity == "lt") {
-      out.push_back('<');
-      return {};
-    }
-    if (entity == "gt") {
-      out.push_back('>');
-      return {};
-    }
-    if (entity == "apos") {
-      out.push_back('\'');
-      return {};
-    }
-    if (entity == "quot") {
-      out.push_back('"');
-      return {};
-    }
-    if (!entity.empty() && entity[0] == '#') {
-      int base = 10;
-      std::size_t from = 1;
-      if (entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X')) {
-        base = 16;
-        from = 2;
-      }
-      unsigned long code = 0;
-      for (std::size_t i = from; i < entity.size(); ++i) {
-        char c = entity[i];
-        int digit;
-        if (c >= '0' && c <= '9') digit = c - '0';
-        else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-        else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-        else
-          return error("bad character reference &" + std::string(entity) + ";");
-        code = code * static_cast<unsigned long>(base) +
-               static_cast<unsigned long>(digit);
-        if (code > 0x10FFFF) {
-          return error("character reference out of range");
-        }
-      }
-      // UTF-8 encode.
-      if (code < 0x80) {
-        out.push_back(static_cast<char>(code));
-      } else if (code < 0x800) {
-        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      } else if (code < 0x10000) {
-        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      } else {
-        out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      }
-      return {};
-    }
-    return error("unknown entity &" + std::string(entity) + ";");
+    Status decoded = append_reference(in_, pos_, out);
+    if (!decoded.ok()) return error(decoded.error().message());
+    return decoded;
   }
 
   Status skip_comment() {
@@ -281,7 +215,6 @@ class Parser {
   }
 
   Result<Element*> parse_element_at(int depth) {
-    constexpr int kMaxDepth = 256;
     if (depth > kMaxDepth) return error("document nested too deeply");
 
     // '<' already consumed by caller.
@@ -399,34 +332,76 @@ Result<Document> parse(std::string_view input) {
   return parse(std::string(input));
 }
 
-std::string escape_text(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out.push_back(c);
-    }
+Status append_reference(std::string_view in, std::size_t& pos,
+                        std::string& out) {
+  std::size_t start = pos;
+  while (pos < in.size() && in[pos] != ';') {
+    ++pos;
+    if (pos - start > 8) return err_parse("unterminated entity reference");
   }
-  return out;
-}
-
-std::string escape_attr(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out.push_back(c);
-    }
+  if (pos >= in.size()) return err_parse("unterminated entity reference");
+  std::string_view entity = in.substr(start, pos - start);
+  ++pos;  // ';'
+  if (entity == "amp") {
+    out.push_back('&');
+    return {};
   }
-  return out;
+  if (entity == "lt") {
+    out.push_back('<');
+    return {};
+  }
+  if (entity == "gt") {
+    out.push_back('>');
+    return {};
+  }
+  if (entity == "apos") {
+    out.push_back('\'');
+    return {};
+  }
+  if (entity == "quot") {
+    out.push_back('"');
+    return {};
+  }
+  if (entity.empty() || entity[0] != '#') {
+    return err_parse("unknown entity &" + std::string(entity) + ";");
+  }
+  int base = 10;
+  std::size_t from = 1;
+  if (entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X')) {
+    base = 16;
+    from = 2;
+  }
+  unsigned long code = 0;
+  for (std::size_t i = from; i < entity.size(); ++i) {
+    char c = entity[i];
+    int digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+    else
+      return err_parse("bad character reference &" + std::string(entity) +
+                       ";");
+    code = code * static_cast<unsigned long>(base) +
+           static_cast<unsigned long>(digit);
+    if (code > 0x10FFFF) return err_parse("character reference out of range");
+  }
+  // UTF-8 encode.
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else if (code < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+  return {};
 }
 
 }  // namespace excovery::xml

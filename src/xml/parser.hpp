@@ -1,7 +1,8 @@
 // Single-pass in-situ XML parser producing the arena DOM of dom.hpp.
 //
 // Supported: elements, attributes (single or double quoted), character data
-// with the five predefined entities plus decimal/hex character references,
+// with the five predefined entities plus decimal/hex character references
+// (decoded by xml::append_reference, text.hpp),
 // CDATA sections, comments (skipped), processing instructions and XML
 // declarations (skipped).  Errors carry line/column positions (computed
 // lazily — the hot path never tracks them).
@@ -33,11 +34,5 @@ Result<Document> parse(std::string&& input);
 inline Result<Document> parse(const char* input) {
   return parse(std::string_view(input));
 }
-
-/// Escape character data for inclusion in XML text ("&", "<", ">").
-std::string escape_text(std::string_view text);
-
-/// Escape an attribute value (also quotes).
-std::string escape_attr(std::string_view text);
 
 }  // namespace excovery::xml

@@ -299,6 +299,11 @@ void emit_canonical(const Element& element, Out& out) {
 
 }  // namespace
 
+void append_escaped_text(std::string& out, std::string_view text) {
+  StringOut sink{out};
+  emit_escaped_text(text, sink);
+}
+
 std::string write(const Element& root, const WriteOptions& options) {
   CountOut counter;
   if (options.declaration) counter.append(kDeclaration);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -105,6 +106,11 @@ TEST(ValueTest, IntCoercion) {
   EXPECT_EQ(Value{" 7 "}.to_int().value(), 7);
   EXPECT_EQ(Value{3.0}.to_int().value(), 3);
   EXPECT_FALSE(Value{3.5}.to_int().ok());
+  EXPECT_FALSE(Value{1e300}.to_int().ok());
+  EXPECT_FALSE(Value{9223372036854775808.0}.to_int().ok());
+  EXPECT_FALSE(
+      Value{-std::numeric_limits<double>::infinity()}.to_int().ok());
+  EXPECT_EQ(Value{-9223372036854775808.0}.to_int().value(), INT64_MIN);
   EXPECT_FALSE(Value{"abc"}.to_int().ok());
   EXPECT_EQ(Value{true}.to_int().value(), 1);
 }

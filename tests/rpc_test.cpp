@@ -2,21 +2,34 @@
 // transport, client faults.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "rpc/codec.hpp"
 #include "rpc/endpoint.hpp"
-#include "xml/parser.hpp"
 
 namespace excovery::rpc {
 namespace {
 
 // ---- codec: values ------------------------------------------------------------
 
+/// A value's trip through real wire text, as the single parameter of a call.
 Value round_trip(const Value& value) {
-  xml::Document doc("holder");
-  encode_value(value, doc.root());
-  Result<Value> back = decode_value(*doc.root().child("value"));
+  Result<MethodCall> back = decode_call(encode(MethodCall{"m", {value}}));
   EXPECT_TRUE(back.ok()) << (back.ok() ? "" : back.error().to_string());
-  return back.ok() ? back.value() : Value{};
+  if (!back.ok() || back.value().params.size() != 1) return Value{};
+  return back.value().params[0];
+}
+
+/// Decode one <value> element carried as the single parameter of a call.
+Result<Value> decode_param(const std::string& value_xml) {
+  EXC_ASSIGN_OR_RETURN(
+      MethodCall call,
+      decode_call("<methodCall><methodName>m</methodName><params><param>" +
+                  value_xml + "</param></params></methodCall>"));
+  if (call.params.size() != 1) return err_parse("expected one parameter");
+  return call.params[0];
 }
 
 TEST(RpcCodec, ScalarRoundTrips) {
@@ -33,9 +46,9 @@ TEST(RpcCodec, ScalarRoundTrips) {
 TEST(RpcCodec, WideIntegersUseI8Extension) {
   std::int64_t wide = 5'000'000'000LL;
   EXPECT_EQ(round_trip(Value{wide}), Value{wide});
-  xml::Document doc("holder");
-  encode_value(Value{wide}, doc.root());
-  EXPECT_NE(doc.root().child("value")->child("i8"), nullptr);
+  std::string wire = encode(MethodCall{"m", {Value{wide}}});
+  EXPECT_NE(wire.find("<value><i8>5000000000</i8></value>"),
+            std::string::npos);
 }
 
 TEST(RpcCodec, Base64RoundTripsAllLengths) {
@@ -56,24 +69,34 @@ TEST(RpcCodec, ArraysAndStructsNest) {
 }
 
 TEST(RpcCodec, BareValueTextIsString) {
-  Result<xml::Document> holder = xml::parse("<value>plain</value>");
-  ASSERT_TRUE(holder.ok());
-  Result<Value> value = decode_value(holder.value().root());
+  Result<Value> value = decode_param("<value>plain</value>");
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(value.value(), Value{"plain"});
 }
 
+TEST(RpcCodec, BareValueTextIsTrimmed) {
+  Result<Value> value = decode_param("<value>\n  plain text \t</value>");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value.value(), Value{"plain text"});
+  EXPECT_EQ(decode_param("<value/>").value(), Value{""});
+}
+
+TEST(RpcCodec, StringWhitespaceSurvives) {
+  for (const char* text : {" a ", "\ta\n", "   ", "\r\n", " <&> "}) {
+    EXPECT_EQ(round_trip(Value{text}), Value{text}) << '"' << text << '"';
+  }
+  EXPECT_EQ(decode_param("<value><string> a </string></value>").value(),
+            Value{" a "});
+}
+
 TEST(RpcCodec, I4AliasAccepted) {
-  Result<xml::Document> holder = xml::parse("<value><i4>7</i4></value>");
-  ASSERT_TRUE(holder.ok());
-  EXPECT_EQ(decode_value(holder.value().root()).value(), Value{7});
+  EXPECT_EQ(decode_param("<value><i4>7</i4></value>").value(), Value{7});
 }
 
 TEST(RpcCodec, UnknownScalarRejected) {
-  Result<xml::Document> holder =
-      xml::parse("<value><dateTime.iso8601>x</dateTime.iso8601></value>");
-  ASSERT_TRUE(holder.ok());
-  EXPECT_FALSE(decode_value(holder.value().root()).ok());
+  EXPECT_FALSE(
+      decode_param("<value><dateTime.iso8601>x</dateTime.iso8601></value>")
+          .ok());
 }
 
 // ---- codec: messages ------------------------------------------------------------
@@ -110,6 +133,25 @@ TEST(RpcCodec, FaultRoundTrip) {
   EXPECT_TRUE(fault.value().is_fault);
   EXPECT_EQ(fault.value().fault_code, -32601);
   EXPECT_EQ(fault.value().fault_string, "no such method");
+}
+
+TEST(RpcCodec, OutOfRangeFaultCodeRejected) {
+  auto fault_with_code = [](const std::string& code) {
+    return "<methodResponse><fault><value><struct><member><name>faultCode"
+           "</name><value>" +
+           code +
+           "</value></member><member><name>faultString</name><value>"
+           "<string>x</string></value></member></struct></value></fault>"
+           "</methodResponse>";
+  };
+  EXPECT_FALSE(decode_response(fault_with_code("<i8>5000000000</i8>")).ok());
+  EXPECT_FALSE(decode_response(fault_with_code("<i8>-2147483649</i8>")).ok());
+  EXPECT_FALSE(
+      decode_response(fault_with_code("<double>1e300</double>")).ok());
+  Result<MethodResponse> edge =
+      decode_response(fault_with_code("<i8>-2147483648</i8>"));
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(edge.value().fault_code, INT32_MIN);
 }
 
 TEST(RpcCodec, WrongRootRejected) {
@@ -167,17 +209,30 @@ TEST(RpcServer, HandleRoundTripsThroughXml) {
   server.register_method("echo", [](const ValueArray& params) -> Result<Value> {
     return params.empty() ? Value{} : params[0];
   });
-  Result<std::string> response_xml =
-      server.handle(encode(MethodCall{"echo", {Value{"ping"}}}));
-  ASSERT_TRUE(response_xml.ok());
-  Result<MethodResponse> response = decode_response(response_xml.value());
+  std::string response_xml;
+  Status handled = server.handle(
+      encode(MethodCall{"echo", {Value{"ping"}}}),
+      [&response_xml](const std::string& text) -> Status {
+        response_xml = text;
+        return {};
+      });
+  ASSERT_TRUE(handled.ok());
+  Result<MethodResponse> response = decode_response(response_xml);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().result, Value{"ping"});
 }
 
 TEST(RpcServer, MalformedRequestIsTransportError) {
   RpcServer server;
-  EXPECT_FALSE(server.handle("not xml at all <<<").ok());
+  bool read = false;
+  EXPECT_FALSE(server
+                   .handle("not xml at all <<<",
+                           [&read](const std::string&) -> Status {
+                             read = true;
+                             return {};
+                           })
+                   .ok());
+  EXPECT_FALSE(read);
 }
 
 TEST(RpcTransport, RoutesToAttachedEndpoints) {
@@ -201,6 +256,37 @@ TEST(RpcTransport, RoutesToAttachedEndpoints) {
 
   transport.detach("B");
   EXPECT_FALSE(client_b.call("who").ok());
+}
+
+TEST(RpcTransport, ConcurrentCallsGetTheirOwnEcho) {
+  // Every caller shares the endpoint's response buffer, guarded by the
+  // server lock: each thread must read back exactly its own argument.
+  RpcServer server;
+  server.register_method("echo", [](const ValueArray& params) -> Result<Value> {
+    return params.empty() ? Value{} : params[0];
+  });
+  InProcessTransport transport;
+  transport.attach("node", &server);
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 1000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      RpcClient client(transport, "node");
+      for (int i = 0; i < kCalls; ++i) {
+        Value argument{ValueMap{
+            {"thread", Value{t}},
+            {"call", Value{i}},
+            {"pad", Value{std::string(static_cast<std::size_t>(t + 1) * 8,
+                                      static_cast<char>('a' + t))}}}};
+        Result<Value> echoed = client.call("echo", {argument});
+        if (!echoed.ok() || echoed.value() != argument) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(RpcClient, FaultSurfacesAsRpcError) {
