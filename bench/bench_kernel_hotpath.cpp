@@ -13,60 +13,17 @@
 // SBO-sized callbacks.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-
-// The replacement operator new/delete below intentionally pair ::new with
-// std::malloc/std::free; GCC's heuristic cannot see that they match.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
+#include "counting_new.hpp"
 #include "net/link_set.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/event_bus.hpp"
 #include "sim/scheduler.hpp"
-
-namespace {
-
-// ---- allocation counting ---------------------------------------------------
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) -
-                                    1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace excovery {
 namespace {
@@ -79,10 +36,8 @@ using sim::SimTime;
 
 class AllocCounter {
  public:
-  AllocCounter() : start_(g_allocs.load(std::memory_order_relaxed)) {}
-  std::uint64_t delta() const {
-    return g_allocs.load(std::memory_order_relaxed) - start_;
-  }
+  AllocCounter() : start_(bench::allocations()) {}
+  std::uint64_t delta() const { return bench::allocations() - start_; }
 
  private:
   std::uint64_t start_;
@@ -187,20 +142,13 @@ BENCHMARK(BM_SchedulerRescheduleMix);
 
 // ---- network data plane -----------------------------------------------------
 
-net::LinkModel lossless_link() {
-  net::LinkModel model = net::LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
-}
-
 /// Unicast over a chain: every packet crosses `length - 1` hops; each hop
 /// moves the packet through filters, capture, and the scheduler.
 void BM_UnicastChain(benchmark::State& state) {
   const std::size_t length = static_cast<std::size_t>(state.range(0));
   sim::Scheduler scheduler;
   net::Network network(scheduler, net::Topology::chain(length,
-                                                       lossless_link()),
+                                                       bench::lossless_link()),
                        /*seed=*/7);
   network.set_capture_enabled(false);
   const NodeId last = static_cast<NodeId>(length - 1);
@@ -232,16 +180,21 @@ void BM_UnicastChain(benchmark::State& state) {
 }
 BENCHMARK(BM_UnicastChain)->Arg(8);
 
-/// Multicast flood over an n x n grid: one send duplicates across every
-/// link with dedup at each node — the paper's Zeroconf traffic pattern and
-/// the dominant packet-copy path in mesh campaigns.
-void BM_FloodGrid(benchmark::State& state) {
+/// Multicast floods over an n x n grid, one per outer iteration, with the
+/// dedup sets cleared (untimed) between floods.  `capture` records every
+/// rx/tx; `degraded` takes a diagonal of links down first, so the disabled
+/// set is non-empty but the grid stays connected.
+void run_floods(benchmark::State& state, bool capture, bool degraded) {
   const std::size_t side = static_cast<std::size_t>(state.range(0));
   sim::Scheduler scheduler;
   net::Network network(scheduler,
-                       net::Topology::grid(side, side, lossless_link()),
+                       net::Topology::grid(side, side, bench::lossless_link()),
                        /*seed=*/7);
-  network.set_capture_enabled(false);
+  network.set_capture_enabled(capture);
+  for (std::size_t i = 0; degraded && i + 1 < side; ++i) {
+    const NodeId a = static_cast<NodeId>(i * side + i);
+    (void)network.set_link_up(a, static_cast<NodeId>(a + 1), false);
+  }
   const Address group = Address::sd_multicast();
   std::uint64_t delivered = 0;
   for (NodeId n = 0; n < network.node_count(); ++n) {
@@ -265,7 +218,7 @@ void BM_FloodGrid(benchmark::State& state) {
     send_flood();
     scheduler.run();
     state.PauseTiming();
-    network.reset_run_state();  // clear dedup sets between floods
+    network.reset_run_state();  // clear dedup sets and captures
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(delivered);
@@ -274,47 +227,16 @@ void BM_FloodGrid(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(side * side));
 }
+
+/// The paper's Zeroconf traffic pattern and the dominant packet-copy path
+/// in mesh campaigns: one send duplicates across every link with dedup at
+/// each node.
+void BM_FloodGrid(benchmark::State& state) { run_floods(state, false, false); }
 BENCHMARK(BM_FloodGrid)->Arg(4)->Arg(8);
 
-/// Flood with capture enabled: every rx/tx records the packet, so payload
-/// copies dominate unless the buffer is shared.
+/// Capture on: payload copies dominate unless the buffer is shared.
 void BM_FloodGridCaptured(benchmark::State& state) {
-  const std::size_t side = static_cast<std::size_t>(state.range(0));
-  sim::Scheduler scheduler;
-  net::Network network(scheduler,
-                       net::Topology::grid(side, side, lossless_link()),
-                       /*seed=*/7);
-  network.set_capture_enabled(true);
-  const Address group = Address::sd_multicast();
-  std::uint64_t delivered = 0;
-  for (NodeId n = 0; n < network.node_count(); ++n) {
-    network.join_group(n, group);
-    network.bind(n, net::kSdPort,
-                 [&delivered](NodeId, const Packet&) { ++delivered; });
-  }
-  auto send_flood = [&] {
-    Packet packet;
-    packet.dst = group;
-    packet.dst_port = net::kSdPort;
-    packet.ttl = 32;
-    packet.payload.assign(512, 0x6B);
-    (void)network.send(0, std::move(packet));
-  };
-  send_flood();
-  scheduler.run();
-  network.reset_run_state();
-  AllocCounter allocs;
-  for (auto _ : state) {
-    send_flood();
-    scheduler.run();
-    state.PauseTiming();
-    network.reset_run_state();  // also drops captures between floods
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(delivered);
-  report_allocs(state, allocs);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(side * side));
+  run_floods(state, true, false);
 }
 BENCHMARK(BM_FloodGridCaptured)->Arg(6);
 
@@ -347,52 +269,11 @@ void BM_LinkSetChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkSetChurn)->Arg(8)->Arg(64);
 
-/// Flood with links down: every transfer() now takes the LinkSet-lookup
-/// branch (non-empty disabled set), the exact path the std::set used to
-/// gate.  Compare against BM_FloodGrid to see the degraded-path overhead.
+/// Flood with links down: every transfer() takes the LinkSet-lookup branch
+/// (non-empty disabled set).  Compare against BM_FloodGrid to see the
+/// degraded-path overhead.
 void BM_FloodGridDegraded(benchmark::State& state) {
-  const std::size_t side = static_cast<std::size_t>(state.range(0));
-  sim::Scheduler scheduler;
-  net::Network network(scheduler,
-                       net::Topology::grid(side, side, lossless_link()),
-                       /*seed=*/7);
-  network.set_capture_enabled(false);
-  // Take down a diagonal of links so the disabled set is non-empty but the
-  // grid stays connected and the flood still reaches every node.
-  for (std::size_t i = 0; i + 1 < side; ++i) {
-    const NodeId a = static_cast<NodeId>(i * side + i);
-    (void)network.set_link_up(a, static_cast<NodeId>(a + 1), false);
-  }
-  const Address group = Address::sd_multicast();
-  std::uint64_t delivered = 0;
-  for (NodeId n = 0; n < network.node_count(); ++n) {
-    network.join_group(n, group);
-    network.bind(n, net::kSdPort,
-                 [&delivered](NodeId, const Packet&) { ++delivered; });
-  }
-  auto send_flood = [&] {
-    Packet packet;
-    packet.dst = group;
-    packet.dst_port = net::kSdPort;
-    packet.ttl = 32;
-    packet.payload.assign(512, 0x6B);
-    (void)network.send(0, std::move(packet));
-  };
-  send_flood();
-  scheduler.run();
-  network.reset_run_state();
-  AllocCounter allocs;
-  for (auto _ : state) {
-    send_flood();
-    scheduler.run();
-    state.PauseTiming();
-    network.reset_run_state();
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(delivered);
-  report_allocs(state, allocs);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(side * side));
+  run_floods(state, false, true);
 }
 BENCHMARK(BM_FloodGridDegraded)->Arg(8);
 

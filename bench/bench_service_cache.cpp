@@ -27,16 +27,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "core/scenario.hpp"
 #include "core/service.hpp"
+#include "counting_new.hpp"
 
 namespace {
 
@@ -47,41 +46,8 @@ using excovery::core::ServiceReply;
 using excovery::core::Submission;
 using excovery::core::SubmitOutcome;
 
-// ---- allocation counting ---------------------------------------------------
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-}  // namespace
-
-// The replacement operator new/delete intentionally pair ::new with
-// std::malloc/std::free (same idiom as bench_kernel_hotpath).
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-namespace {
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+namespace bench = excovery::bench;
+using bench::seconds_since;
 
 Submission campaign(int replications) {
   excovery::core::scenario::TwoPartyOptions options;
@@ -131,33 +97,14 @@ double hit_throughput(ExperimentService& service,
   return static_cast<double>(total.load()) / seconds_since(start);
 }
 
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int reps = 5;
-  std::string out = "BENCH_cache.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      reps = 3;
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--reps N] [--out PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, /*reps=*/5, /*smoke_reps=*/3,
+                         "BENCH_cache.json");
+  const bool smoke = flags.smoke;
+  const int reps = flags.reps;
 
   const int replications = smoke ? 5 : 50;
   const int hit_iterations = smoke ? 200 : 2000;
@@ -177,7 +124,7 @@ int main(int argc, char** argv) {
     cold_times.push_back(seconds_since(start));
     if (reply.outcome != SubmitOutcome::kSimulated) std::abort();
   }
-  const double cold_s = median(cold_times);
+  const double cold_s = bench::median(cold_times);
 
   // Warm hit: one service, one simulation, then timed repeats.  The timed
   // path is digest computation + LRU lookup.
@@ -195,15 +142,13 @@ int main(int argc, char** argv) {
     }
     warm_times.push_back(seconds_since(start) / hit_iterations);
   }
-  const double warm_s = median(warm_times);
+  const double warm_s = bench::median(warm_times);
   const double speedup = cold_s / warm_s;
 
   // Allocations on one hit.
-  const std::uint64_t allocs_before =
-      g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = bench::allocations();
   (void)must_submit(service, submission);
-  const std::uint64_t hit_allocs =
-      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t hit_allocs = bench::allocations() - allocs_before;
 
   // Hit throughput at 1 / 4 / hardware-concurrency clients.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -230,10 +175,28 @@ int main(int argc, char** argv) {
     failed = !smoke;
   }
 
-  std::string json;
-  json += "{\n";
-  json +=
-      " \"description\": \"Content-addressed campaign memoization "
+  using excovery::strings::format;
+  const std::vector<bench::CuratedEntry> entries = {
+      {"BM_ServiceCache/warm_hit_vs_cold_miss",
+       {{"seed", format("{\"items_per_second\": %.3f, \"cpu_time_ns\": %.0f}",
+                        1.0 / cold_s, cold_s * 1e9)},
+        {"current",
+         format("{\"items_per_second\": %.0f, \"cpu_time_ns\": %.0f}",
+                1.0 / warm_s, warm_s * 1e9)},
+        {"speedup_vs_cold_miss", format("%.1f", speedup)},
+        {"hit_allocations",
+         format("%llu", static_cast<unsigned long long>(hit_allocs))},
+        {"campaign_replications", format("%d", replications)}}},
+      {"BM_ServiceCache/hit_throughput",
+       {{"current",
+         format("{\"items_per_second\": %.0f, \"cpu_time_ns\": %.0f}",
+                rate_hw, 1e9 / rate_hw)},
+        {"clients_1_per_second", format("%.0f", rate_1)},
+        {"clients_4_per_second", format("%.0f", rate_4)},
+        {format("clients_%u_per_second", hw), format("%.0f", rate_hw)}}},
+  };
+  const std::string description =
+      "Content-addressed campaign memoization "
       "(bench/bench_service_cache.cpp, DESIGN.md \\u00a714). 'seed' = "
       "cold-miss submission latency (the service must simulate the whole "
       "campaign); 'current' = warm-hit latency for the identical submission "
@@ -242,39 +205,7 @@ int main(int argc, char** argv) {
       "submissions/s with that many client threads on one digest; "
       "hit_allocations counts heap allocations for a single hit "
       "(dominated by the canonical XML serialisation). Median over "
-      "repetitions.\",\n";
-  json += " \"machine\": \"vm\",\n";
-  json += " \"date\": \"" + today() + "\",\n";
-  json += " \"benchmarks\": {\n";
-  json += excovery::strings::format(
-      "  \"BM_ServiceCache/warm_hit_vs_cold_miss\": {\n"
-      "   \"seed\": {\"items_per_second\": %.3f, \"cpu_time_ns\": %.0f},\n"
-      "   \"current\": {\"items_per_second\": %.0f, \"cpu_time_ns\": "
-      "%.0f},\n"
-      "   \"speedup_vs_cold_miss\": %.1f,\n"
-      "   \"hit_allocations\": %llu,\n"
-      "   \"campaign_replications\": %d\n"
-      "  },\n",
-      1.0 / cold_s, cold_s * 1e9, 1.0 / warm_s, warm_s * 1e9, speedup,
-      static_cast<unsigned long long>(hit_allocs), replications);
-  json += excovery::strings::format(
-      "  \"BM_ServiceCache/hit_throughput\": {\n"
-      "   \"current\": {\"items_per_second\": %.0f, \"cpu_time_ns\": "
-      "%.0f},\n"
-      "   \"clients_1_per_second\": %.0f,\n"
-      "   \"clients_4_per_second\": %.0f,\n"
-      "   \"clients_%u_per_second\": %.0f\n"
-      "  }\n",
-      rate_hw, 1e9 / rate_hw, rate_1, rate_4, hw, rate_hw);
-  json += " }\n}\n";
-
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  std::printf("wrote %s\n", out.c_str());
+      "repetitions.";
+  if (!bench::write_curated(flags.out, description, entries)) return 1;
   return failed ? 1 : 0;
 }

@@ -22,8 +22,8 @@
 //
 // Results go to BENCH_topology.json (curated format, bench/collect_bench.py;
 // the speedup column reports the memory reduction vs. the eager matrix).
-// Like bench_faults the JSON is written in --smoke mode too so CI can
-// archive the file from the smoke run.
+// The JSON is written in --smoke mode too so CI can archive the file from
+// the smoke run.
 //
 // Flags:
 //   --smoke     small scale set, 1 rep, WARN-only gates — CI smoke step
@@ -31,13 +31,11 @@
 //   --out PATH  override the JSON output path (default BENCH_topology.json)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
@@ -47,23 +45,13 @@
 namespace {
 
 using excovery::net::Address;
-using excovery::net::LinkModel;
 using excovery::net::NodeId;
 using excovery::net::Packet;
 using excovery::net::RoutingTable;
 using excovery::net::Topology;
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-LinkModel lossless_link() {
-  LinkModel model = LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
-}
+namespace bench = excovery::bench;
+using bench::seconds_since;
 
 struct Scale {
   std::size_t nodes = 0;
@@ -83,12 +71,6 @@ struct ScaleResult {
   std::size_t capacity_rows = 0;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// One full pipeline repetition at one scale.  Generation, warm-up and
 /// flood are timed separately; the caller takes medians across repetitions.
 ScaleResult run_scale(const Scale& scale, std::uint64_t seed) {
@@ -97,7 +79,7 @@ ScaleResult run_scale(const Scale& scale, std::uint64_t seed) {
 
   auto start = std::chrono::steady_clock::now();
   excovery::Result<Topology> generated = Topology::random_geometric(
-      scale.nodes, scale.radius, seed, lossless_link());
+      scale.nodes, scale.radius, seed, bench::lossless_link());
   result.gen_s = seconds_since(start);
   if (!generated.ok()) std::abort();
   Topology topology = std::move(generated).value();
@@ -166,33 +148,14 @@ ScaleResult run_scale(const Scale& scale, std::uint64_t seed) {
   return result;
 }
 
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int reps = 3;
-  std::string out = "BENCH_topology.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      reps = 1;
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--reps N] [--out PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, /*reps=*/3, /*smoke_reps=*/1,
+                         "BENCH_topology.json");
+  const bool smoke = flags.smoke;
+  const int reps = flags.reps;
 
   // Mean degree held ~constant (r = sqrt(28 / (pi * V))) so every scale is
   // mesh-like and connected with overwhelming probability.
@@ -219,9 +182,9 @@ int main(int argc, char** argv) {
       warm.push_back(last.warm_s);
       flood.push_back(last.flood_s);
     }
-    last.gen_s = median(gen);
-    last.warm_s = median(warm);
-    last.flood_s = median(flood);
+    last.gen_s = bench::median(gen);
+    last.warm_s = bench::median(warm);
+    last.flood_s = bench::median(flood);
     const double pipeline_s = last.gen_s + last.warm_s + last.flood_s;
     const double events_per_s = last.deliveries / last.flood_s;
     const double eager_bytes =
@@ -253,56 +216,38 @@ int main(int argc, char** argv) {
     results.push_back(last);
   }
 
-  std::string json;
-  json += "{\n";
-  json +=
-      " \"description\": \"Mega-scale topology engine "
-      "(bench/bench_topology_scale.cpp, DESIGN.md \\u00a713): "
-      "random-geometric worlds at constant mean degree (~28). Per scale: "
-      "grid-indexed generation, lazy-routing warm-up (~64 on-demand BFS "
-      "rows), then full multicast floods over the CSR adjacency. "
-      "items_per_second = packet deliveries/sec during the flood phase; "
-      "cpu_time_ns = full pipeline (generation + warm-up + floods); "
-      "speedup = warm routing memory reduction vs. the former eager "
-      "all-pairs matrix (6 bytes/pair), which at 50k nodes would need "
-      "~15 GB before the first packet moves. Medians over repetitions.\",\n";
-  json += " \"machine\": \"vm\",\n";
-  json += " \"date\": \"" + today() + "\",\n";
-  json += " \"benchmarks\": {\n";
-  bool first = true;
+  std::vector<bench::CuratedEntry> entries;
   for (const ScaleResult& r : results) {
-    if (!first) json += ",\n";
-    first = false;
     const double pipeline_s = r.gen_s + r.warm_s + r.flood_s;
     const double eager_bytes = static_cast<double>(r.nodes) * r.nodes * 6;
-    json += excovery::strings::format(
-        "  \"BM_TopologyScale/%zu\": {\n"
-        "   \"current\": {\"items_per_second\": %.0f, \"cpu_time_ns\": "
-        "%.0f},\n"
-        "   \"speedup_memory_vs_all_pairs\": %.2f,\n"
-        "   \"links\": %zu,\n"
-        "   \"generation_seconds\": %.6f,\n"
-        "   \"routing_warmup_seconds\": %.6f,\n"
-        "   \"flood_seconds\": %.6f,\n"
-        "   \"routing_memory_bytes\": %zu,\n"
-        "   \"eager_matrix_bytes\": %.0f,\n"
-        "   \"cached_rows\": %zu,\n"
-        "   \"row_cache_capacity\": %zu\n"
-        "  }",
-        r.nodes, r.deliveries / r.flood_s, pipeline_s * 1e9,
-        eager_bytes / r.routing_bytes, r.links, r.gen_s, r.warm_s, r.flood_s,
-        r.routing_bytes, eager_bytes, r.cached_rows, r.capacity_rows);
+    using excovery::strings::format;
+    entries.push_back(
+        {format("BM_TopologyScale/%zu", r.nodes),
+         {{"current", format("{\"items_per_second\": %.0f, \"cpu_time_ns\": "
+                             "%.0f}",
+                             r.deliveries / r.flood_s, pipeline_s * 1e9)},
+          {"speedup_memory_vs_all_pairs",
+           format("%.2f", eager_bytes / r.routing_bytes)},
+          {"links", format("%zu", r.links)},
+          {"generation_seconds", format("%.6f", r.gen_s)},
+          {"routing_warmup_seconds", format("%.6f", r.warm_s)},
+          {"flood_seconds", format("%.6f", r.flood_s)},
+          {"routing_memory_bytes", format("%zu", r.routing_bytes)},
+          {"eager_matrix_bytes", format("%.0f", eager_bytes)},
+          {"cached_rows", format("%zu", r.cached_rows)},
+          {"row_cache_capacity", format("%zu", r.capacity_rows)}}});
   }
-  json += "\n }\n}\n";
-
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  std::printf("wrote %s\n", out.c_str());
+  const std::string description =
+      "Mega-scale topology engine (bench/bench_topology_scale.cpp, "
+      "DESIGN.md \\u00a713): random-geometric worlds at constant mean degree "
+      "(~28). Per scale: grid-indexed generation, lazy-routing warm-up (~64 "
+      "on-demand BFS rows), then full multicast floods over the CSR "
+      "adjacency. items_per_second = packet deliveries/sec during the flood "
+      "phase; cpu_time_ns = full pipeline (generation + warm-up + floods); "
+      "speedup = warm routing memory reduction vs. the former eager "
+      "all-pairs matrix (6 bytes/pair), which at 50k nodes would need ~15 GB "
+      "before the first packet moves. Medians over repetitions.";
+  if (!bench::write_curated(flags.out, description, entries)) return 1;
 
   if (over_budget && !smoke) return 1;
   return 0;

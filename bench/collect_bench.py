@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Merge the repository's BENCH_*.json result files into one summary table.
 
-The perf-tracking benches (bench_kernel_hotpath, bench_storage_pipeline,
-bench_faults, bench_topology_scale, bench_service_cache, ...) each leave a
-JSON file in the
-repository root: either the curated seed-vs-current trajectory format
-(``benchmarks`` is a mapping of name -> {seed, current, speedup_*}) or raw
-google-benchmark output (``benchmarks`` is a list).  Curated entries may
-carry extra context fields (BENCH_topology.json records per-scale
-generation/warm-up/flood seconds and routing memory); the table keeps the
-common columns and the JSON stays the full record.  This script collects
-every BENCH_*.json it finds and renders a single markdown summary,
-BENCH_SUMMARY.md, so the perf trajectory of all subsystems can be read in
-one place.
+The perf binaries under bench/ each leave a JSON file in the repository
+root: either the curated format (``benchmarks`` is a mapping of name ->
+{seed, current, speedup_*, ...}) or raw google-benchmark output
+(``benchmarks`` is a list).  Curated entries may carry extra context fields
+(BENCH_topology.json records per-scale generation/warm-up/flood seconds and
+routing memory); the table keeps the common columns and the JSON stays the
+full record.  Overhead entries (bench_overhead: ``bare``, ``current``,
+``overhead_percent``, ``gate``) get their own table with the gate verdict.
+This script collects every BENCH_*.json it finds and renders a single
+markdown summary, BENCH_SUMMARY.md, so the perf trajectory of all
+subsystems can be read in one place.
 
 Usage:
     python3 bench/collect_bench.py            # writes <repo root>/BENCH_SUMMARY.md
@@ -54,23 +53,18 @@ def rate_of(measurement):
         "bytes_per_second")
 
 
-def format_allocs(seed, current, entry):
-    """Seed -> current heap allocations per call, when a bench records them.
+def format_allocs(entry):
+    """Heap allocations per call, when a bench records them.
 
-    The zero-copy benches (bench_xml_rpc, bench_service_cache) count operator
-    new calls per operation; the trajectory "336 -> 12" is the headline for
-    allocation-focused work, so it earns a column.  bench_service_cache keeps
-    its single per-hit count at entry level as ``hit_allocations``.
+    bench_xml_rpc records ``allocations`` against an ``allocation_ceiling``
+    (rendered "12 (<= 12)"); bench_service_cache records its per-hit count
+    as ``hit_allocations``.
     """
-    seed_allocs = (seed or {}).get("allocations")
-    cur_allocs = (current or {}).get("allocations")
-    if cur_allocs is None:
-        cur_allocs = entry.get("hit_allocations")
-    if cur_allocs is None:
+    allocs = entry.get("allocations", entry.get("hit_allocations"))
+    if allocs is None:
         return ""
-    if seed_allocs is None:
-        return str(cur_allocs)
-    return f"{seed_allocs} -> {cur_allocs}"
+    ceiling = entry.get("allocation_ceiling")
+    return str(allocs) if ceiling is None else f"{allocs} (<= {ceiling})"
 
 
 def curated_rows(benchmarks):
@@ -86,8 +80,23 @@ def curated_rows(benchmarks):
             "seed": format_rate(rate_of(seed)),
             "current": format_rate(rate_of(current)),
             "cpu": format_ns((current or {}).get("cpu_time_ns")),
-            "allocs": format_allocs(seed, current, entry),
+            "allocs": format_allocs(entry),
             "speedup": f"{speedup:.2f}x" if speedup is not None else "",
+        })
+    return rows
+
+
+def overhead_rows(benchmarks):
+    """Rows from bench_overhead's entries: bare vs configured rate, the
+    median paired overhead and its gate verdict."""
+    rows = []
+    for name, entry in benchmarks.items():
+        rows.append({
+            "name": name,
+            "bare": format_rate(rate_of(entry.get("bare"))),
+            "current": format_rate(rate_of(entry.get("current"))),
+            "overhead": f"{entry['overhead_percent']:+.2f}%",
+            "gate": entry.get("gate", ""),
         })
     return rows
 
@@ -111,13 +120,27 @@ def gbench_rows(benchmarks):
     return rows
 
 
+CURATED_HEADER = ["| Benchmark | Seed rate | Current rate | Current CPU | "
+                  "Allocs/call | Speedup |",
+                  "|---|---|---|---|---|---|"]
+CURATED_ROW = ("| {name} | {seed} | {current} | {cpu} | {allocs} "
+               "| {speedup} |")
+OVERHEAD_HEADER = ["| Workload / configuration | Bare rate | Configured rate "
+                   "| Overhead | Gate |",
+                   "|---|---|---|---|---|"]
+OVERHEAD_ROW = "| {name} | {bare} | {current} | {overhead} | {gate} |"
+
+
 def rows_for(path):
+    """(data, table header, row template, rows) for one result file."""
     with path.open() as fh:
         data = json.load(fh)
     benchmarks = data.get("benchmarks", {})
-    if isinstance(benchmarks, dict):
-        return data, curated_rows(benchmarks)
-    return data, gbench_rows(benchmarks)
+    if not isinstance(benchmarks, dict):
+        return data, CURATED_HEADER, CURATED_ROW, gbench_rows(benchmarks)
+    if any("overhead_percent" in entry for entry in benchmarks.values()):
+        return data, OVERHEAD_HEADER, OVERHEAD_ROW, overhead_rows(benchmarks)
+    return data, CURATED_HEADER, CURATED_ROW, curated_rows(benchmarks)
 
 
 def render(files):
@@ -127,7 +150,7 @@ def render(files):
                  + " by `bench/collect_bench.py`.")
     for path in files:
         try:
-            data, rows = rows_for(path)
+            data, header, row_template, rows = rows_for(path)
         except (json.JSONDecodeError, KeyError, TypeError) as error:
             lines += ["", f"## {path.name}", "", f"(unreadable: {error})"]
             continue
@@ -137,14 +160,8 @@ def render(files):
         lines.append(f"Recorded {stamp}.")
         if data.get("description"):
             lines += ["", data["description"]]
-        lines += ["",
-                  "| Benchmark | Seed rate | Current rate | Current CPU | "
-                  "Allocs/call | Speedup |",
-                  "|---|---|---|---|---|---|"]
-        for row in rows:
-            lines.append(
-                "| {name} | {seed} | {current} | {cpu} | {allocs} "
-                "| {speedup} |".format(**row))
+        lines += [""] + header
+        lines += [row_template.format(**row) for row in rows]
     lines.append("")
     return "\n".join(lines)
 

@@ -177,6 +177,9 @@ Result<Value> ByteReader::value() {
     }
     case ValueType::kArray: {
       EXC_ASSIGN_OR_RETURN(std::uint32_t count, u32());
+      // Every element takes at least its one-byte tag: bound the untrusted
+      // count by the input before reserving for it.
+      if (count > remaining()) return err_io("array count exceeds input");
       ValueArray arr;
       arr.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 namespace excovery::storage {
 
@@ -24,17 +23,19 @@ bool hex_digest(const std::string& digest) {
   return true;
 }
 
-/// Write `contents` to `path` crash-safely: a temporary sibling file is
+/// Write a package to `path` crash-safely: a temporary sibling file is
 /// written in full, then atomically renamed over the destination.  A crash
 /// mid-write leaves at worst a stale .tmp sibling, never a truncated
 /// destination; re-storing over an existing file replaces it in place.
-Status atomic_write(const fs::path& path, const std::string& contents) {
+Status atomic_save_package(const ExperimentPackage& package,
+                           const fs::path& path) {
+  const Bytes bytes = package.database().serialize();
   const fs::path tmp = path.string() + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return err_io("cannot write '" + tmp.string() + "'");
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
     if (!out.flush()) return err_io("cannot flush '" + tmp.string() + "'");
   }
   std::error_code ec;
@@ -44,32 +45,6 @@ Status atomic_write(const fs::path& path, const std::string& contents) {
     return err_io("cannot rename into '" + path.string() + "'");
   }
   return {};
-}
-
-Status atomic_save_package(const ExperimentPackage& package,
-                           const fs::path& path) {
-  const Bytes bytes = package.database().serialize();
-  return atomic_write(
-      path, std::string(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size()));
-}
-
-/// Read a tab-separated two-column index file, invoking `entry` per
-/// well-formed line.  Corrupt lines (no tab, empty columns, embedded
-/// separators) are skipped: an index damaged by a crash degrades to the
-/// directory scan instead of failing open().
-template <typename Fn>
-void load_index_lines(const fs::path& path, Fn&& entry) {
-  std::ifstream in(path);
-  if (!in) return;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t tab = line.find('\t');
-    if (tab == std::string::npos || tab == 0 || tab + 1 >= line.size()) {
-      continue;
-    }
-    entry(line.substr(0, tab), line.substr(tab + 1));
-  }
 }
 
 }  // namespace
@@ -83,53 +58,24 @@ Result<Repository> Repository::open(const std::string& directory) {
   }
   Repository repo(directory);
 
-  // Index files first (tolerating corrupt lines), keeping only entries
-  // whose package file actually exists.
-  load_index_lines(fs::path(directory) / "index.txt",
-                   [&](std::string id, std::string file) {
-                     if (!plain_name(id) || !plain_name(file)) return;
-                     if (!fs::exists(fs::path(directory) / file)) return;
-                     repo.index_.insert_or_assign(std::move(id),
-                                                  std::move(file));
-                   });
-  load_index_lines(
-      fs::path(directory) / "cas-index.txt",
-      [&](std::string digest, std::string relative) {
-        if (!hex_digest(digest)) return;
-        if (relative.find("..") != std::string::npos) return;
-        if (!fs::exists(fs::path(directory) / relative)) return;
-        repo.cas_index_.insert_or_assign(std::move(digest),
-                                         std::move(relative));
-      });
-
-  // Then rebuild from the files actually present (self-healing if either
-  // index file is stale, corrupt or missing).
-  std::vector<fs::path> entries;
+  // The directory is the index: every key is derived from a file name, and
+  // every path from its key, so no stored path can point outside the
+  // repository or at another key's file.
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
-    entries.push_back(entry.path());
-  }
-  std::sort(entries.begin(), entries.end());
-  for (const fs::path& path : entries) {
-    if (path.extension() == ".excovery") {
-      repo.index_.insert_or_assign(path.stem().string(),
-                                   path.filename().string());
+    if (entry.path().extension() == ".excovery") {
+      repo.ids_.insert(entry.path().stem().string());
     }
   }
   const fs::path cas_root = fs::path(directory) / "cas";
   if (fs::is_directory(cas_root, ec)) {
-    std::vector<fs::path> cas_files;
     for (const auto& entry :
          fs::recursive_directory_iterator(cas_root, ec)) {
-      if (entry.path().extension() == ".excovery") {
-        cas_files.push_back(entry.path());
+      const std::string digest = entry.path().stem().string();
+      if (entry.path().extension() == ".excovery" && hex_digest(digest) &&
+          fs::relative(entry.path(), directory, ec).generic_string() ==
+              cas_relative_path(digest)) {
+        repo.digests_.insert(digest);
       }
-    }
-    std::sort(cas_files.begin(), cas_files.end());
-    for (const fs::path& path : cas_files) {
-      const std::string digest = path.stem().string();
-      if (!hex_digest(digest)) continue;
-      repo.cas_index_.insert_or_assign(
-          digest, fs::relative(path, directory, ec).generic_string());
     }
   }
   return repo;
@@ -143,31 +89,16 @@ std::string Repository::cas_relative_path(const std::string& digest) {
   return "cas/" + digest.substr(0, 2) + "/" + digest + ".excovery";
 }
 
-Status Repository::save_index() const {
-  std::ostringstream out;
-  for (const auto& [id, file] : index_) out << id << "\t" << file << "\n";
-  return atomic_write(fs::path(directory_) / "index.txt", out.str());
-}
-
-Status Repository::save_cas_index() const {
-  std::ostringstream out;
-  for (const auto& [digest, relative] : cas_index_) {
-    out << digest << "\t" << relative << "\n";
-  }
-  return atomic_write(fs::path(directory_) / "cas-index.txt", out.str());
-}
-
 Status Repository::store(const std::string& experiment_id,
                          const ExperimentPackage& package) {
   if (!plain_name(experiment_id)) {
     return err_invalid("experiment id must be a non-empty plain name");
   }
   // The file name is a pure function of the id, so the atomic rename
-  // replaces any previous package for this id in place: no leaked file,
-  // and the index entry below overwrites rather than duplicates.
+  // replaces any previous package for this id in place: no leaked file.
   EXC_TRY(atomic_save_package(package, path_for(experiment_id)));
-  index_.insert_or_assign(experiment_id, experiment_id + ".excovery");
-  return save_index();
+  ids_.insert(experiment_id);
+  return {};
 }
 
 Result<ExperimentPackage> Repository::fetch(
@@ -180,14 +111,11 @@ Result<ExperimentPackage> Repository::fetch(
 }
 
 bool Repository::contains(const std::string& experiment_id) const {
-  return index_.find(experiment_id) != index_.end();
+  return ids_.count(experiment_id) != 0;
 }
 
 std::vector<std::string> Repository::experiment_ids() const {
-  std::vector<std::string> out;
-  out.reserve(index_.size());
-  for (const auto& [id, file] : index_) out.push_back(id);
-  return out;
+  return {ids_.begin(), ids_.end()};
 }
 
 Status Repository::store_by_hash(const std::string& digest,
@@ -197,8 +125,7 @@ Status Repository::store_by_hash(const std::string& digest,
                        "'");
   }
   if (contains_hash(digest)) return {};  // content-addressed: idempotent
-  const std::string relative = cas_relative_path(digest);
-  const fs::path path = fs::path(directory_) / relative;
+  const fs::path path = fs::path(directory_) / cas_relative_path(digest);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
   if (ec) {
@@ -206,36 +133,32 @@ Status Repository::store_by_hash(const std::string& digest,
                   path.parent_path().string() + "': " + ec.message());
   }
   EXC_TRY(atomic_save_package(package, path));
-  cas_index_.insert_or_assign(digest, relative);
-  return save_cas_index();
+  digests_.insert(digest);
+  return {};
 }
 
 Result<ExperimentPackage> Repository::fetch_by_hash(
     const std::string& digest) const {
-  auto it = cas_index_.find(digest);
-  if (it == cas_index_.end()) {
+  if (!contains_hash(digest)) {
     return err_not_found("no package with digest '" + digest +
                          "' in repository");
   }
   return ExperimentPackage::load(
-      (fs::path(directory_) / it->second).string());
+      (fs::path(directory_) / cas_relative_path(digest)).string());
 }
 
 bool Repository::contains_hash(const std::string& digest) const {
-  return cas_index_.find(digest) != cas_index_.end();
+  return digests_.count(digest) != 0;
 }
 
 std::vector<std::string> Repository::hashes() const {
-  std::vector<std::string> out;
-  out.reserve(cas_index_.size());
-  for (const auto& [digest, relative] : cas_index_) out.push_back(digest);
-  return out;
+  return {digests_.begin(), digests_.end()};
 }
 
 Result<std::vector<Repository::CrossEvent>> Repository::events_of_type(
     const std::string& event_type) const {
   std::vector<CrossEvent> out;
-  for (const auto& [id, file] : index_) {
+  for (const std::string& id : ids_) {
     EXC_ASSIGN_OR_RETURN(ExperimentPackage package, fetch(id));
     EXC_ASSIGN_OR_RETURN(std::vector<EventRow> events, package.all_events());
     for (EventRow& event : events) {
@@ -249,7 +172,7 @@ Result<std::vector<Repository::CrossEvent>> Repository::events_of_type(
 
 Result<std::vector<Repository::Summary>> Repository::summaries() const {
   std::vector<Summary> out;
-  for (const auto& [id, file] : index_) {
+  for (const std::string& id : ids_) {
     EXC_ASSIGN_OR_RETURN(ExperimentPackage package, fetch(id));
     Summary summary;
     summary.experiment_id = id;

@@ -4,8 +4,8 @@
 // experiments into a single repository to facilitate comparison and
 // analysis covering multiple experiments.  To date, ExCovery does not
 // realize this level."  It is realised here (the paper marks it as future
-// work): a directory of level-3 packages with an index and cross-experiment
-// query helpers.
+// work): a directory of level-3 packages with cross-experiment query
+// helpers.
 //
 // Two key spaces share one repository directory (DESIGN.md §14):
 //
@@ -17,13 +17,14 @@
 //    stores idempotent: equal digest means byte-identical package, so
 //    re-storing an existing digest is a no-op success.
 //
-// Persistence is crash-safe: package files and both index files are
-// written to a temporary sibling and atomically renamed into place, and
-// index reload skips corrupt lines / dangling entries instead of failing
-// open() (the directory scan self-heals the index anyway).
+// The directory is the index: open() derives both key sets from the file
+// names present, and every path is a pure function of its key, so there is
+// no index file to go stale or to point a key at a foreign file.  Package
+// files are written to a temporary sibling and atomically renamed into
+// place, so a crash never leaves a truncated package.
 #pragma once
 
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,9 +40,8 @@ class Repository {
   const std::string& directory() const noexcept { return directory_; }
 
   /// Store a package under an experiment id; persists it atomically as
-  /// <dir>/<id>.excovery and updates the index.  Re-storing an existing id
-  /// replaces the previous package in place (no leaked file, no stale
-  /// index entry).
+  /// <dir>/<id>.excovery.  Re-storing an existing id replaces the previous
+  /// package in place (no leaked file).
   Status store(const std::string& experiment_id,
                const ExperimentPackage& package);
 
@@ -51,7 +51,7 @@ class Repository {
   bool contains(const std::string& experiment_id) const;
   /// All experiment ids, sorted.
   std::vector<std::string> experiment_ids() const;
-  std::size_t size() const noexcept { return index_.size(); }
+  std::size_t size() const noexcept { return ids_.size(); }
 
   // ---- content-addressed store (DESIGN.md §14) ---------------------------
   /// Store a package under its content digest (64 lower-case hex chars from
@@ -64,7 +64,7 @@ class Repository {
   bool contains_hash(const std::string& digest) const;
   /// All stored digests, sorted.
   std::vector<std::string> hashes() const;
-  std::size_t cas_size() const noexcept { return cas_index_.size(); }
+  std::size_t cas_size() const noexcept { return digests_.size(); }
   /// Repository-relative CAS file path ("cas/ab/<digest>.excovery") — the
   /// on-disk layout contract, exposed for tooling.
   static std::string cas_relative_path(const std::string& digest);
@@ -94,12 +94,10 @@ class Repository {
       : directory_(std::move(directory)) {}
 
   std::string path_for(const std::string& experiment_id) const;
-  Status save_index() const;
-  Status save_cas_index() const;
 
   std::string directory_;
-  std::map<std::string, std::string> index_;      // id -> file name
-  std::map<std::string, std::string> cas_index_;  // digest -> relative path
+  std::set<std::string> ids_;
+  std::set<std::string> digests_;
 };
 
 }  // namespace excovery::storage

@@ -520,6 +520,15 @@ Status Table::deserialize_columns(ByteReader& reader, std::uint64_t rows) {
     if (block_size > reader.remaining()) {
       return err_io("column block for '" + column.name + "' is truncated");
     }
+    // The row count is untrusted: every cell takes at least one byte of the
+    // block after its kind byte (a string id four), so reject a count the
+    // block cannot hold before anything is sized from it.
+    const std::uint64_t min_cell_bytes =
+        store.kind == ColumnKind::kString ? 4 : 1;
+    if (block_size == 0 || rows > (block_size - 1) / min_cell_bytes) {
+      return err_io("column block for '" + column.name + "' cannot hold " +
+                    std::to_string(rows) + " rows");
+    }
     const std::size_t block_end = reader.position() + block_size;
     EXC_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8());
     if (kind != static_cast<std::uint8_t>(store.kind)) {

@@ -350,6 +350,13 @@ TEST(BytesTest, TruncationIsAnError) {
   data.pop_back();
   ByteReader r(data);
   EXPECT_FALSE(r.u32().ok());
+
+  // An array count the input cannot hold is an error, not an allocation.
+  ByteWriter array;
+  array.u8(static_cast<std::uint8_t>(ValueType::kArray));
+  array.u32(0x80000000u);
+  ByteReader huge(array.bytes());
+  EXPECT_FALSE(huge.value().ok());
 }
 
 TEST(BytesTest, ValueRoundTripNested) {

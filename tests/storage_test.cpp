@@ -321,6 +321,85 @@ TEST(Database, CorruptV2ImagesRejected) {
   Bytes flipped = good;
   flipped[0] ^= 0xFF;
   EXPECT_FALSE(Database::deserialize(flipped).ok());
+
+  // A row count no column block can hold, on a table whose first column is
+  // a string column: rejected before anything is sized from it.
+  ByteWriter huge;
+  huge.u32(0x45584342);
+  huge.u16(2);
+  huge.u32(1);
+  huge.string("Strings");
+  huge.u16(1);
+  huge.string("S");
+  huge.u8(static_cast<std::uint8_t>(ValueType::kString));
+  huge.u8(0);
+  huge.u64(std::uint64_t{1} << 60);
+  huge.u32(0);  // empty string pool
+  huge.u64(1);  // column block: the kind byte alone
+  huge.u8(3);
+  EXPECT_FALSE(Database::deserialize(huge.take()).ok());
+}
+
+/// A package with all ten tables non-empty.
+ExperimentPackage full_package() {
+  ExperimentPackage package;
+  EXPECT_TRUE(package.set_experiment_info("<e/>", "full", "c").ok());
+  EXPECT_TRUE(package.add_log("A", "log line\n").ok());
+  EXPECT_TRUE(package.add_ee_file("ee", Bytes{1, 2, 3}).ok());
+  EXPECT_TRUE(package.add_experiment_measurement(1, "A", "topo", "x").ok());
+  for (std::int64_t run = 1; run <= 3; ++run) {
+    EXPECT_TRUE(package.add_run_info({run, "A", 1.0 * run, 0.001}).ok());
+    EXPECT_TRUE(
+        package.add_extra_run_measurement(run, "A", "hops", "2").ok());
+    EXPECT_TRUE(
+        package.add_event({run, "A", 0.5 * run, "sd_start_search", "SU"})
+            .ok());
+    EXPECT_TRUE(
+        package.add_packet({run, "B", 0.25 * run, "A", Bytes{9, 8, 7}}).ok());
+    EXPECT_TRUE(package.add_metric(run, "net.sent", 4.0).ok());
+    EXPECT_TRUE(package
+                    .add_provenance({run, 0, 0, "root", "A", "search",
+                                     0.1 * run, 0.0})
+                    .ok());
+  }
+  return package;
+}
+
+TEST(Database, TruncationsAndBitFlipsFailCleanly) {
+  const ExperimentPackage package = full_package();
+  for (const std::string& name : package.database().table_names()) {
+    ASSERT_GT(package.database().table(name)->row_count(), 0u) << name;
+  }
+  const Bytes good = package.database().serialize();
+  ASSERT_TRUE(Database::deserialize(good).ok());
+
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    const Bytes bad(good.begin(),
+                    good.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(Database::deserialize(bad).ok()) << "cut at " << cut;
+  }
+
+  // Seeded 1-3-bit flips: each image loads or is rejected, and never
+  // escapes as an exception (a corrupt CAS entry must degrade to a miss).
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes flipped = good;
+    const int flips = 1 + static_cast<int>(next() % 3);
+    for (int f = 0; f < flips; ++f) {
+      const std::uint64_t bit = next() % (flipped.size() * 8);
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_NO_THROW({
+      Result<Database> db = Database::deserialize(flipped);
+      if (db.ok()) (void)ExperimentPackage::from_database(std::move(db).value());
+    }) << "trial " << trial;
+  }
 }
 
 // ---- ExperimentPackage (Table I) ----------------------------------------------------
@@ -742,7 +821,8 @@ TEST(Repository, ReStoreReplacesWithoutLeakingFilesOrIndexEntries) {
   ASSERT_TRUE(repo.value().store("exp-a", tiny_package("new", 1)).ok());
 
   // Replace semantics: the new content is served, exactly one package
-  // file and one index line remain, and no .tmp sibling leaks.
+  // file remains, no .tmp sibling leaks, and a reopened repository lists
+  // exactly one id.
   Result<ExperimentPackage> fetched = repo.value().fetch("exp-a");
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value().experiment_name().value(), "new");
@@ -755,10 +835,10 @@ TEST(Repository, ReStoreReplacesWithoutLeakingFilesOrIndexEntries) {
   }
   EXPECT_EQ(packages, 1u);
 
-  std::ifstream index(dir.path / "index.txt");
-  std::size_t lines = 0;
-  for (std::string line; std::getline(index, line);) ++lines;
-  EXPECT_EQ(lines, 1u);
+  Result<Repository> reopened = Repository::open(dir.path.string());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.value().experiment_ids(),
+            std::vector<std::string>{"exp-a"});
 }
 
 TEST(Repository, ReopenRebuildsIndexFromFiles) {
@@ -840,22 +920,37 @@ TEST(Repository, CasSurvivesReopenAndToleratesCorruptIndexes) {
     ASSERT_TRUE(repo.value().store("exp-a", tiny_package("plain", 1)).ok());
   }
 
+  // A package outside the repository, for index lines to point at.
+  TempDir elsewhere;
+  const fs::path foreign = elsewhere.path / "foreign.excovery";
+  ASSERT_TRUE(tiny_package("foreign", 1).database().save(foreign.string())
+                  .ok());
+
   // Corrupt both index files the way a crash mid-write could: garbage
   // lines, missing columns, and entries pointing at files that don't
-  // exist.  open() must skip the damage and keep the real packages.
+  // exist; and hostile lines: an absolute path out of the repository and
+  // an id naming another id's file.  open() must ignore all of it and
+  // keep exactly the real packages.
   std::ofstream(dir.path / "index.txt", std::ios::app)
-      << "no-tab-line\n\t\nexp-gone\tgone.excovery\n";
+      << "no-tab-line\n\t\nexp-gone\tgone.excovery\n"
+      << "exp-phantom\texp-a.excovery\n";
   std::ofstream(dir.path / "cas-index.txt", std::ios::app)
       << "NOT-HEX\tcas/xx/y.excovery\n"
       << kDigestB << "\tcas/bb/" << kDigestB << ".excovery\n"
-      << kDigestA << "\t../outside.excovery\n";
+      << kDigestA << "\t../outside.excovery\n"
+      << kDigestB << "\t" << foreign.string() << "\n";
 
   Result<Repository> reopened = Repository::open(dir.path.string());
   ASSERT_TRUE(reopened.ok());
   EXPECT_TRUE(reopened.value().contains("exp-a"));
   EXPECT_FALSE(reopened.value().contains("exp-gone"));
+  EXPECT_FALSE(reopened.value().contains("exp-phantom"));
+  EXPECT_EQ(reopened.value().experiment_ids(),
+            std::vector<std::string>{"exp-a"});
+  EXPECT_TRUE(reopened.value().summaries().ok());
   EXPECT_TRUE(reopened.value().contains_hash(kDigestA));
   EXPECT_FALSE(reopened.value().contains_hash(kDigestB));
+  EXPECT_FALSE(reopened.value().fetch_by_hash(kDigestB).ok());
   EXPECT_EQ(reopened.value().cas_size(), 1u);
   Result<ExperimentPackage> fetched =
       reopened.value().fetch_by_hash(kDigestA);
