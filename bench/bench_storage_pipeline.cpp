@@ -116,29 +116,18 @@ BENCHMARK(BM_OrderByColumnarCached)->Arg(100'000);
 
 // ---- conditioning ----------------------------------------------------------
 
-void bench_condition(benchmark::State& state, std::size_t workers) {
+void BM_Condition(benchmark::State& state) {
   Level2Store level2 =
       busy_level2(static_cast<int>(state.range(0)), 200);
   std::size_t events = 0;
   for (auto _ : state) {
-    ConditioningOptions options;
-    options.workers = workers;
-    Result<ExperimentPackage> package = condition(level2, "<e/>", options);
+    Result<ExperimentPackage> package = condition(level2, "<e/>");
     events += package.value().event_count();
   }
   benchmark::DoNotOptimize(events);
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_ConditionSequential(benchmark::State& state) {
-  bench_condition(state, 1);
-}
-BENCHMARK(BM_ConditionSequential)->Arg(8)->Arg(20);
-
-void BM_ConditionParallel(benchmark::State& state) {
-  bench_condition(state, 0);
-}
-BENCHMARK(BM_ConditionParallel)->Arg(8)->Arg(20);
+BENCHMARK(BM_Condition)->Arg(8)->Arg(20);
 
 // ---- (de)serialisation bandwidth -------------------------------------------
 

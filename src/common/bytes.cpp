@@ -42,6 +42,12 @@ void ByteWriter::raw(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
+void ByteWriter::patch_u64(std::size_t offset, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_.at(offset + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 void ByteWriter::value(const Value& v) {
   u8(static_cast<std::uint8_t>(v.type()));
   switch (v.type()) {
@@ -78,6 +84,38 @@ void ByteWriter::value(const Value& v) {
       break;
     }
   }
+}
+
+std::size_t ByteWriter::value_size(const Value& v) {
+  std::size_t size = 1;  // type tag
+  switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kBool:
+      size += 1;
+      break;
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      size += 8;
+      break;
+    case ValueType::kString:
+      size += 4 + v.as_string().size();
+      break;
+    case ValueType::kBytes:
+      size += 4 + v.as_bytes().size();
+      break;
+    case ValueType::kArray:
+      size += 4;
+      for (const Value& item : v.as_array()) size += value_size(item);
+      break;
+    case ValueType::kMap:
+      size += 4;
+      for (const auto& [k, item] : v.as_map()) {
+        size += 4 + k.size() + value_size(item);
+      }
+      break;
+  }
+  return size;
 }
 
 Status ByteReader::need(std::size_t n) const {

@@ -19,6 +19,9 @@ class ByteWriter {
   const Bytes& bytes() const noexcept { return buffer_; }
   Bytes take() noexcept { return std::move(buffer_); }
   std::size_t size() const noexcept { return buffer_.size(); }
+  /// Make room for `bytes` in total, so that writing that much allocates
+  /// the buffer once instead of growing it step by step.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
@@ -34,6 +37,11 @@ class ByteWriter {
   void raw(const std::uint8_t* data, std::size_t size);
   /// Tagged Value (recursive over arrays/maps).
   void value(const Value& v);
+  /// Bytes value(v) appends.
+  static std::size_t value_size(const Value& v);
+  /// Overwrite the u64 written at byte `offset` (a length placeholder
+  /// written before the data it measures).
+  void patch_u64(std::size_t offset, std::uint64_t v);
 
  private:
   Bytes buffer_;

@@ -74,7 +74,7 @@ struct MetricIds {
   MetricId pool_queue_delay_ns;    ///< log-hist: enqueue -> start
   MetricId pool_busy_ns;           ///< log-hist: task execution time
   MetricId condition_wall_ns;      ///< log-hist: conditioning phase wall time
-  MetricId condition_shards;       ///< node shards conditioned
+  MetricId condition_shards;       ///< node stores conditioned
 };
 
 /// Named per-run scalar metrics ("this run executed N kernel events").

@@ -10,35 +10,52 @@ namespace excovery::stats {
 
 Result<std::vector<RunDiscovery>> discoveries(
     const storage::ExperimentPackage& package) {
+  // Reads the Events cells in place (columns RunID, NodeID, CommonTime,
+  // EventType, Parameter); only a search start builds a RunDiscovery.
+  const storage::Table& table = *package.database().table("Events");
   std::vector<RunDiscovery> out;
   for (std::int64_t run_id : package.run_ids()) {
-    EXC_ASSIGN_OR_RETURN(std::vector<storage::EventRow> events,
-                         package.events(run_id));
+    std::vector<storage::RowView> rows =
+        table.select_equals("RunID", Value{run_id});
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const storage::RowView& a, const storage::RowView& b) {
+                       return a.as_double(2) < b.as_double(2);
+                     });
     // One RunDiscovery per node that started a search in this run.
-    std::map<std::string, RunDiscovery> by_searcher;
-    for (const storage::EventRow& event : events) {
-      if (event.event_type == sd::events::kStartSearch) {
-        auto [it, inserted] =
-            by_searcher.try_emplace(event.node_id, RunDiscovery{});
-        if (inserted) {
-          it->second.run_id = run_id;
-          it->second.searcher = event.node_id;
-          it->second.search_start = event.common_time;
-        }
-      } else if (event.event_type == sd::events::kServiceAdd) {
-        auto it = by_searcher.find(event.node_id);
-        if (it == by_searcher.end()) continue;  // add before search: cached
-        double latency = event.common_time - it->second.search_start;
+    const std::size_t run_begin = out.size();
+    auto searcher = [&](std::string_view node) -> RunDiscovery* {
+      for (std::size_t i = run_begin; i < out.size(); ++i) {
+        if (out[i].searcher == node) return &out[i];
+      }
+      return nullptr;
+    };
+    for (const storage::RowView& row : rows) {
+      const std::string_view type = row.as_string(3);
+      if (type == sd::events::kStartSearch) {
+        const std::string_view node = row.as_string(1);
+        if (searcher(node) != nullptr) continue;
+        RunDiscovery& discovery = out.emplace_back();
+        discovery.run_id = run_id;
+        discovery.searcher = std::string(node);
+        discovery.search_start = row.as_double(2);
+      } else if (type == sd::events::kServiceAdd) {
+        RunDiscovery* discovery = searcher(row.as_string(1));
+        if (discovery == nullptr) continue;  // add before search: cached
+        const std::string_view provider =
+            row.is_null(4) ? std::string_view{} : row.as_string(4);
         // First add per provider wins.
-        it->second.latencies.try_emplace(event.parameter, latency);
-      } else if (event.event_type == "wait_timeout") {
-        auto it = by_searcher.find(event.node_id);
-        if (it != by_searcher.end()) it->second.timed_out = true;
+        discovery->latencies.try_emplace(
+            std::string(provider), row.as_double(2) - discovery->search_start);
+      } else if (type == "wait_timeout") {
+        RunDiscovery* discovery = searcher(row.as_string(1));
+        if (discovery != nullptr) discovery->timed_out = true;
       }
     }
-    for (auto& [searcher, discovery] : by_searcher) {
-      out.push_back(std::move(discovery));
-    }
+    // Searchers in name order within the run.
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(run_begin), out.end(),
+              [](const RunDiscovery& a, const RunDiscovery& b) {
+                return a.searcher < b.searcher;
+              });
   }
   return out;
 }

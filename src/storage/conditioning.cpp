@@ -1,10 +1,9 @@
 #include "storage/conditioning.hpp"
 
 #include <chrono>
+#include <cstddef>
 #include <unordered_map>
 #include <unordered_set>
-
-#include "common/thread_pool.hpp"
 
 namespace excovery::storage {
 
@@ -18,70 +17,6 @@ namespace {
 /// per-event linear scan over every sync measurement.
 using OffsetsByRun = std::unordered_map<std::int64_t, std::int64_t>;
 
-/// Everything one node contributes to the package, built independently of
-/// every other node.  Blob lists keep the node-store traversal order
-/// (run-scoped blobs before plugin data) so the merged table rows match a
-/// sequential pass exactly.
-struct NodeShard {
-  std::string node_name;
-  const NodeStore* store = nullptr;
-  std::vector<EventRow> events;
-  std::vector<PacketRow> packets;
-  std::vector<const NamedBlob*> experiment_blobs;
-  std::vector<const NamedBlob*> run_blobs;
-};
-
-void build_shard(NodeShard& shard, const OffsetsByRun* offsets,
-                 const std::unordered_set<std::int64_t>* completed_runs) {
-  auto include_run = [&](std::int64_t run_id) {
-    return completed_runs == nullptr || completed_runs->count(run_id) != 0;
-  };
-  auto offset_for = [&](std::int64_t run_id) -> std::int64_t {
-    if (!offsets) return 0;
-    auto it = offsets->find(run_id);
-    return it == offsets->end() ? 0 : it->second;
-  };
-  shard.events.reserve(shard.store->events().size());
-  shard.packets.reserve(shard.store->packets().size());
-  // Events: split into single entries on the common time base.
-  for (const RawEvent& event : shard.store->events()) {
-    if (!include_run(event.run_id)) continue;
-    EventRow row;
-    row.run_id = event.run_id;
-    row.node_id = shard.node_name;
-    row.common_time =
-        to_common_time(event.local_time_ns, offset_for(event.run_id));
-    row.event_type = event.type;
-    row.parameter = event.parameter.to_text();
-    shard.events.push_back(std::move(row));
-  }
-  // Packets.
-  for (const RawPacket& packet : shard.store->packets()) {
-    if (!include_run(packet.run_id)) continue;
-    PacketRow row;
-    row.run_id = packet.run_id;
-    row.node_id = shard.node_name;
-    row.common_time =
-        to_common_time(packet.local_time_ns, offset_for(packet.run_id));
-    row.src_node_id = packet.src_node;
-    row.data = packet.data;
-    shard.packets.push_back(std::move(row));
-  }
-  // Named blobs: experiment-scoped go to ExperimentMeasurements,
-  // run-scoped (and plugin data) to ExtraRunMeasurements.
-  auto classify = [&](const std::vector<NamedBlob>& blobs) {
-    for (const NamedBlob& blob : blobs) {
-      if (blob.run_id < 0) {
-        shard.experiment_blobs.push_back(&blob);
-      } else if (include_run(blob.run_id)) {
-        shard.run_blobs.push_back(&blob);
-      }
-    }
-  };
-  classify(shard.store->blobs());
-  classify(shard.store->plugin_data());
-}
-
 }  // namespace
 
 Result<ExperimentPackage> condition(const Level2Store& level2,
@@ -90,50 +25,20 @@ Result<ExperimentPackage> condition(const Level2Store& level2,
   ExperimentPackage package;
   EXC_TRY(package.set_experiment_info(description_xml, options.experiment_name,
                                       options.comment));
+  Database& db = package.database();
+  Table& logs = *db.table("Logs");
+  Table& run_infos = *db.table("RunInfos");
+  Table& events = *db.table("Events");
+  Table& packets = *db.table("Packets");
+  Table& experiment_measurements = *db.table("ExperimentMeasurements");
+  Table& extra_run_measurements = *db.table("ExtraRunMeasurements");
 
-  std::unordered_set<std::int64_t> completed(
+  const std::unordered_set<std::int64_t> completed(
       level2.completed_runs().begin(), level2.completed_runs().end());
-  const std::unordered_set<std::int64_t>* completed_filter =
-      options.completed_runs_only ? &completed : nullptr;
-  auto include_run = [&](std::int64_t run_id) {
-    return completed_filter == nullptr ||
-           completed_filter->count(run_id) != 0;
+  auto included = [&](std::int64_t run_id) {
+    return !options.completed_runs_only || completed.count(run_id) != 0;
   };
 
-  // RunInfos from the master's sync measurements; at the same time hoist
-  // the offset estimates into per-(run, node) caches (first sync per key
-  // wins, like Level2Store::offset_ns).
-  std::unordered_map<std::string, OffsetsByRun> offsets_by_node;
-  for (const SyncMeasurement& sync : level2.syncs()) {
-    offsets_by_node[sync.node].emplace(sync.run_id, sync.offset_ns);
-    if (!include_run(sync.run_id)) continue;
-    RunInfoRow info;
-    info.run_id = sync.run_id;
-    info.node_id = sync.node;
-    info.start_time = static_cast<double>(sync.run_start_ns) / 1e9;
-    info.time_diff = static_cast<double>(sync.offset_ns) / 1e9;
-    EXC_TRY(package.add_run_info(info));
-  }
-
-  // Resolve the node stores up front; a name without a store is a corrupt
-  // level-2 hierarchy, not undefined behaviour.
-  std::vector<NodeShard> shards;
-  for (const std::string& node_name : level2.node_names()) {
-    NodeShard shard;
-    shard.node_name = node_name;
-    shard.store = level2.find_node(node_name);
-    if (shard.store == nullptr) {
-      return err_not_found("level-2 store lists node '" + node_name +
-                           "' but holds no data for it");
-    }
-    shards.push_back(std::move(shard));
-  }
-
-  auto offsets_for = [&](const std::string& node) -> const OffsetsByRun* {
-    auto it = offsets_by_node.find(node);
-    return it == offsets_by_node.end() ? nullptr : &it->second;
-  };
-  const auto phase_start = std::chrono::steady_clock::now();
   auto report_phase = [&](std::string_view phase, auto since) {
     if (!options.timing_hook) return;
     options.timing_hook(
@@ -142,46 +47,100 @@ Result<ExperimentPackage> condition(const Level2Store& level2,
                    .count());
   };
 
-  if (options.workers == 1 || shards.size() <= 1) {
-    for (NodeShard& shard : shards) {
-      build_shard(shard, offsets_for(shard.node_name), completed_filter);
-    }
-  } else {
-    ThreadPool pool(options.workers);
-    pool.parallel_for(shards.size(), [&](std::size_t i) {
-      build_shard(shards[i], offsets_for(shards[i].node_name),
-                  completed_filter);
-    });
+  // RunInfos from the master's sync measurements; at the same time hoist
+  // the offset estimates into per-(run, node) caches (first sync per key
+  // wins, like Level2Store::offset_ns).
+  const auto sync_start = std::chrono::steady_clock::now();
+  std::unordered_map<std::string, OffsetsByRun> offsets_by_node;
+  for (const SyncMeasurement& sync : level2.syncs()) {
+    offsets_by_node[sync.node].emplace(sync.run_id, sync.offset_ns);
+    if (!included(sync.run_id)) continue;
+    EXC_TRY(run_infos.append({sync.run_id, sync.node,
+                              static_cast<double>(sync.run_start_ns) / 1e9,
+                              static_cast<double>(sync.offset_ns) / 1e9}));
   }
-  report_phase("build_shards", phase_start);
-  const auto merge_start = std::chrono::steady_clock::now();
+  report_phase("build_shards", sync_start);
 
-  // Deterministic merge in node order: shard contents are appended exactly
-  // where a sequential pass would have inserted them, including the global
-  // experiment-measurement id sequence.
+  // One pass over every node store in node-name order, appending typed
+  // cells straight into the package tables.  The global
+  // experiment-measurement id runs across nodes in that order.  The two
+  // large tables are sized for every captured row up front, so each
+  // column is allocated once.
+  const auto rows_start = std::chrono::steady_clock::now();
+  std::size_t event_rows = 0;
+  std::size_t packet_rows = 0;
+  for (const auto& [node, store] : level2.nodes()) {
+    event_rows += store.events().size();
+    packet_rows += store.packets().size();
+  }
+  events.reserve(event_rows);
+  packets.reserve(packet_rows);
   std::int64_t measurement_id = 1;
-  for (NodeShard& shard : shards) {
-    std::string node_log = shard.store->log();
-    if (!node_log.empty()) {
-      EXC_TRY(package.add_log(shard.node_name, std::move(node_log)));
+  std::string log;
+  std::string parameter_text;
+  for (const auto& [node, store] : level2.nodes()) {
+    auto node_offsets = offsets_by_node.find(node);
+    auto offset_ns = [&](std::int64_t run_id) -> std::int64_t {
+      if (node_offsets == offsets_by_node.end()) return 0;
+      auto it = node_offsets->second.find(run_id);
+      return it == node_offsets->second.end() ? 0 : it->second;
+    };
+
+    // The log keeps experiment-scoped segments and those of included runs.
+    log.clear();
+    for (const LogSegment& segment : store.log_segments()) {
+      if (segment.run_id < 0 || included(segment.run_id)) {
+        log += segment.text;
+      }
     }
-    for (const EventRow& row : shard.events) {
-      EXC_TRY(package.add_event(row));
+    if (!log.empty()) EXC_TRY(logs.append({node, log}));
+
+    // Events: split into single entries on the common time base.  The
+    // parameter is stored as text (a null parameter as "").
+    for (const RawEvent& event : store.events()) {
+      if (!included(event.run_id)) continue;
+      std::string_view parameter;
+      if (event.parameter.is_string()) {
+        parameter = event.parameter.as_string();
+      } else if (!event.parameter.is_null()) {
+        parameter_text = event.parameter.to_text();
+        parameter = parameter_text;
+      }
+      EXC_TRY(events.append(
+          {event.run_id, node,
+           to_common_time(event.local_time_ns, offset_ns(event.run_id)),
+           event.type, parameter}));
     }
-    for (const PacketRow& row : shard.packets) {
-      EXC_TRY(package.add_packet(row));
+
+    for (const RawPacket& packet : store.packets()) {
+      if (!included(packet.run_id)) continue;
+      EXC_TRY(packets.append(
+          {packet.run_id, node,
+           to_common_time(packet.local_time_ns, offset_ns(packet.run_id)),
+           packet.src_node, packet.data}));
     }
-    for (const NamedBlob* blob : shard.experiment_blobs) {
-      EXC_TRY(package.add_experiment_measurement(measurement_id++,
-                                                 shard.node_name, blob->name,
-                                                 blob->content));
+
+    // Named blobs: experiment-scoped ones go to ExperimentMeasurements,
+    // run-scoped ones to ExtraRunMeasurements; in each table the node's
+    // blobs come before its plugin data.
+    const std::vector<NamedBlob>* blob_lists[] = {&store.blobs(),
+                                                  &store.plugin_data()};
+    for (const std::vector<NamedBlob>* blobs : blob_lists) {
+      for (const NamedBlob& blob : *blobs) {
+        if (blob.run_id >= 0) continue;
+        EXC_TRY(experiment_measurements.append(
+            {measurement_id++, node, blob.name, blob.content}));
+      }
     }
-    for (const NamedBlob* blob : shard.run_blobs) {
-      EXC_TRY(package.add_extra_run_measurement(blob->run_id, shard.node_name,
-                                                blob->name, blob->content));
+    for (const std::vector<NamedBlob>* blobs : blob_lists) {
+      for (const NamedBlob& blob : *blobs) {
+        if (blob.run_id < 0 || !included(blob.run_id)) continue;
+        EXC_TRY(extra_run_measurements.append(
+            {blob.run_id, node, blob.name, blob.content}));
+      }
     }
   }
-  report_phase("merge", merge_start);
+  report_phase("merge", rows_start);
   return package;
 }
 

@@ -10,14 +10,12 @@
 //     common_time = local_time - estimated_offset(run, node)
 // with the offset estimates produced by the pre-run time-sync measurement.
 //
-// Conditioning is parallel across nodes: each NodeStore builds its rows
-// into a private shard (offset estimates are hoisted into a per-(run, node)
-// cache first), and shards are merged into the package sequentially in
-// node-name order — so the output is bit-identical to a sequential pass
-// regardless of worker count.
+// Conditioning is one typed pass: the offset estimates are hoisted into a
+// per-(run, node) cache while the RunInfos are written, then each NodeStore
+// is walked once, in node-name order, and its rows are appended as typed
+// cells straight into the package tables (DESIGN.md §9).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -28,7 +26,8 @@
 namespace excovery::storage {
 
 /// Wall-clock timing callback for condition(): called once per phase with
-/// the phase name ("build_shards", "merge") and its duration.  Purely
+/// the phase name and its duration — "build_shards" for the sync pass that
+/// writes the RunInfos, "merge" for the pass over the node stores.  Purely
 /// observational — the package bytes do not depend on it being set.
 using ConditioningTimingHook =
     std::function<void(std::string_view phase, std::int64_t wall_ns)>;
@@ -37,12 +36,9 @@ struct ConditioningOptions {
   std::string experiment_name = "experiment";
   std::string comment;
   /// Only condition runs marked complete in the level-2 store (incomplete
-  /// runs will be resumed, not stored).
+  /// runs will be resumed, not stored).  Applies to every run-scoped row:
+  /// events, packets, run blobs, RunInfos and log segments.
   bool completed_runs_only = true;
-  /// Worker threads for the per-node shard build: 0 = hardware
-  /// concurrency, 1 = fully sequential.  The conditioned package is
-  /// identical for every value.
-  std::size_t workers = 0;
   /// Optional per-phase wall timing (see ConditioningTimingHook).
   ConditioningTimingHook timing_hook;
 };

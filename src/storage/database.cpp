@@ -63,8 +63,25 @@ std::string Database::schema_description() const {
   return out;
 }
 
+std::size_t Database::serialized_size() const {
+  // Mirrors serialize() field by field.
+  std::size_t size = 4 + 2 + 4;  // magic, format version, table count
+  for (const std::string& name : order_) {
+    const Table* t = table(name);
+    size += 4 + name.size() + 2;
+    for (const Column& column : t->schema().columns) {
+      size += 4 + column.name.size() + 1 + 1;
+    }
+    size += 8 + t->serialized_columns_size();
+  }
+  return size;
+}
+
 Bytes Database::serialize() const {
+  // A package is megabytes: growing the buffer step by step would copy it
+  // and fault in fresh pages several times over, so it is sized once.
   ByteWriter w;
+  w.reserve(serialized_size());
   w.u32(kMagic);
   w.u16(kFormatVersion);
   w.u32(static_cast<std::uint32_t>(order_.size()));

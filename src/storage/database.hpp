@@ -41,6 +41,8 @@ class Database {
 
   /// Serialise to / from one binary buffer.
   Bytes serialize() const;
+  /// Bytes serialize() returns.
+  std::size_t serialized_size() const;
   static Result<Database> deserialize(const Bytes& data);
 
   /// Single-file persistence.

@@ -166,6 +166,10 @@ class Level2Store {
   NodeStore& node(const std::string& name) { return nodes_[name]; }
   const NodeStore* find_node(const std::string& name) const;
   std::vector<std::string> node_names() const;
+  /// Every node store, in node-name order.
+  const std::map<std::string, NodeStore>& nodes() const noexcept {
+    return nodes_;
+  }
 
   void add_sync(SyncMeasurement sync) { syncs_.push_back(std::move(sync)); }
   const std::vector<SyncMeasurement>& syncs() const noexcept { return syncs_; }

@@ -138,8 +138,7 @@ Status ExperimentPackage::set_experiment_info(
   if (info->row_count() != 0) {
     return err_state("ExperimentInfo already set (single-tuple table)");
   }
-  return info->insert(
-      {Value{description_xml}, Value{kEeVersion}, Value{name}, Value{comment}});
+  return info->append({description_xml, kEeVersion, name, comment});
 }
 
 Result<std::string> ExperimentPackage::description_xml() const {
@@ -162,11 +161,12 @@ Result<std::string> ExperimentPackage::ee_version() const {
 
 Status ExperimentPackage::add_log(const std::string& node_id,
                                   const std::string& log_text) {
-  return db_.table("Logs")->insert({Value{node_id}, Value{log_text}});
+  return db_.table("Logs")->append({node_id, log_text});
 }
 
-Status ExperimentPackage::add_ee_file(const std::string& id, Bytes contents) {
-  return db_.table("EEFiles")->insert({Value{id}, Value{std::move(contents)}});
+Status ExperimentPackage::add_ee_file(const std::string& id,
+                                      const Bytes& contents) {
+  return db_.table("EEFiles")->append({id, contents});
 }
 
 Status ExperimentPackage::add_experiment_measurement(std::int64_t id,
@@ -174,13 +174,12 @@ Status ExperimentPackage::add_experiment_measurement(std::int64_t id,
                                                      const std::string& name,
                                                      const std::string& content) {
   return db_.table("ExperimentMeasurements")
-      ->insert({Value{id}, Value{node_id}, Value{name}, Value{content}});
+      ->append({id, node_id, name, content});
 }
 
 Status ExperimentPackage::add_run_info(const RunInfoRow& info) {
   return db_.table("RunInfos")
-      ->insert({Value{info.run_id}, Value{info.node_id},
-                Value{info.start_time}, Value{info.time_diff}});
+      ->append({info.run_id, info.node_id, info.start_time, info.time_diff});
 }
 
 Status ExperimentPackage::add_extra_run_measurement(std::int64_t run_id,
@@ -188,32 +187,30 @@ Status ExperimentPackage::add_extra_run_measurement(std::int64_t run_id,
                                                     const std::string& name,
                                                     const std::string& content) {
   return db_.table("ExtraRunMeasurements")
-      ->insert({Value{run_id}, Value{node_id}, Value{name}, Value{content}});
+      ->append({run_id, node_id, name, content});
 }
 
 Status ExperimentPackage::add_event(const EventRow& event) {
-  return db_.table("Events")->insert(
-      {Value{event.run_id}, Value{event.node_id}, Value{event.common_time},
-       Value{event.event_type}, Value{event.parameter}});
+  return db_.table("Events")->append({event.run_id, event.node_id,
+                                      event.common_time, event.event_type,
+                                      event.parameter});
 }
 
 Status ExperimentPackage::add_packet(const PacketRow& packet) {
-  return db_.table("Packets")->insert(
-      {Value{packet.run_id}, Value{packet.node_id}, Value{packet.common_time},
-       Value{packet.src_node_id}, Value{packet.data}});
+  return db_.table("Packets")->append({packet.run_id, packet.node_id,
+                                       packet.common_time, packet.src_node_id,
+                                       packet.data});
 }
 
 Status ExperimentPackage::add_metric(std::int64_t run_id,
                                      const std::string& name, double value) {
-  return db_.table("Metrics")->insert(
-      {Value{run_id}, Value{name}, Value{value}});
+  return db_.table("Metrics")->append({run_id, name, value});
 }
 
 Status ExperimentPackage::add_provenance(const ProvenanceRow& row) {
   return db_.table("Provenance")
-      ->insert({Value{row.run_id}, Value{row.path}, Value{row.seq},
-                Value{row.kind}, Value{row.node_id}, Value{row.detail},
-                Value{row.time}, Value{row.latency}});
+      ->append({row.run_id, row.path, row.seq, row.kind, row.node_id,
+                row.detail, row.time, row.latency});
 }
 
 std::vector<ProvenanceRow> ExperimentPackage::provenance() const {

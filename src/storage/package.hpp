@@ -98,7 +98,7 @@ class ExperimentPackage {
 
   // ---- writers -----------------------------------------------------------
   Status add_log(const std::string& node_id, const std::string& log_text);
-  Status add_ee_file(const std::string& id, Bytes contents);
+  Status add_ee_file(const std::string& id, const Bytes& contents);
   Status add_experiment_measurement(std::int64_t id,
                                     const std::string& node_id,
                                     const std::string& name,

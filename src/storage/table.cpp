@@ -140,7 +140,7 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
 }
 
 std::uint32_t Table::intern(std::string_view text) {
-  auto it = pool_ids_.find(std::string(text));
+  auto it = pool_ids_.find(text);
   if (it != pool_ids_.end()) return it->second;
   auto id = static_cast<std::uint32_t>(pool_.size());
   pool_.emplace_back(text);
@@ -148,15 +148,40 @@ std::uint32_t Table::intern(std::string_view text) {
   return id;
 }
 
-Status Table::insert(Row row) {
-  if (row.size() != schema_.columns.size()) {
+Cell::Cell(const Value& v) noexcept : type_(v.type()) {
+  switch (type_) {
+    case ValueType::kNull: break;
+    case ValueType::kBool: bool_ = v.as_bool(); break;
+    case ValueType::kInt: int_ = v.as_int(); break;
+    case ValueType::kDouble: double_ = v.as_double(); break;
+    case ValueType::kString: text_ = v.as_string(); break;
+    case ValueType::kBytes:
+    case ValueType::kArray:
+    case ValueType::kMap: boxed_ = &v; break;
+  }
+}
+
+Status Table::insert(const Row& row) {
+  std::vector<Cell> cells;
+  cells.reserve(row.size());
+  for (const Value& value : row) cells.push_back(Cell(value));
+  return append_cells(cells.data(), cells.size());
+}
+
+Status Table::append(std::initializer_list<Cell> cells) {
+  return append_cells(cells.begin(), cells.size());
+}
+
+Status Table::append_cells(const Cell* cells, std::size_t count) {
+  if (count != schema_.columns.size()) {
     return err_invalid("table '" + schema_.name + "': row arity " +
-                       std::to_string(row.size()) + " != " +
+                       std::to_string(count) + " != " +
                        std::to_string(schema_.columns.size()));
   }
-  for (std::size_t i = 0; i < row.size(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const Column& column = schema_.columns[i];
-    if (row[i].is_null()) {
+    const ValueType type = cells[i].type();
+    if (type == ValueType::kNull) {
       if (!column.nullable) {
         return err_invalid("table '" + schema_.name + "': column '" +
                            column.name + "' is not nullable");
@@ -164,52 +189,18 @@ Status Table::insert(Row row) {
       continue;
     }
     // Int is acceptable where double is declared (numeric widening).
-    if (row[i].type() != column.type &&
-        !(column.type == ValueType::kDouble && row[i].is_int())) {
-      return err_invalid(
-          "table '" + schema_.name + "': column '" + column.name +
-          "' expects " + std::string(to_string(column.type)) + ", got " +
-          std::string(to_string(row[i].type())));
+    if (type != column.type &&
+        !(column.type == ValueType::kDouble && type == ValueType::kInt)) {
+      return err_invalid("table '" + schema_.name + "': column '" +
+                         column.name + "' expects " +
+                         std::string(to_string(column.type)) + ", got " +
+                         std::string(to_string(type)));
     }
   }
   const auto row_id = static_cast<std::uint32_t>(row_count_);
-  for (std::size_t c = 0; c < row.size(); ++c) {
+  for (std::size_t c = 0; c < count; ++c) {
     ColumnStore& store = columns_[c];
-    Value& cell = row[c];
-    switch (store.kind) {
-      case ColumnKind::kInt64:
-        store.tags.push_back(cell.is_null() ? kTagNull : kTagValue);
-        store.i64.push_back(cell.is_null() ? 0 : cell.as_int());
-        break;
-      case ColumnKind::kFloat64:
-        if (cell.is_null()) {
-          store.tags.push_back(kTagNull);
-          store.i64.push_back(0);
-          store.f64.push_back(0.0);
-        } else if (cell.is_int()) {
-          // The cell stays an int Value (exact round-trip, type-first
-          // ordering); the f64 lane carries the widened reading.
-          store.tags.push_back(kTagValue);
-          store.i64.push_back(cell.as_int());
-          store.f64.push_back(static_cast<double>(cell.as_int()));
-        } else {
-          store.tags.push_back(kTagDouble);
-          store.i64.push_back(0);
-          store.f64.push_back(cell.as_double());
-        }
-        break;
-      case ColumnKind::kBool:
-        store.tags.push_back(cell.is_null() ? kTagNull : kTagValue);
-        store.b8.push_back(!cell.is_null() && cell.as_bool() ? 1 : 0);
-        break;
-      case ColumnKind::kString:
-        store.str.push_back(cell.is_null() ? kNullStringId
-                                           : intern(cell.as_string()));
-        break;
-      case ColumnKind::kGeneric:
-        store.generic.push_back(std::move(cell));
-        break;
-    }
+    put(store, cells[c]);
     // Keep a built hash index current; drop the sort cache.
     if (store.hash_index) {
       (*store.hash_index)[key_at(store, row_id)].push_back(row_id);
@@ -218,6 +209,49 @@ Status Table::insert(Row row) {
   }
   ++row_count_;
   return {};
+}
+
+void Table::put(ColumnStore& store, const Cell& cell) {
+  const bool null = cell.type_ == ValueType::kNull;
+  switch (store.kind) {
+    case ColumnKind::kInt64:
+      store.tags.push_back(null ? kTagNull : kTagValue);
+      store.i64.push_back(null ? 0 : cell.int_);
+      break;
+    case ColumnKind::kFloat64:
+      if (null) {
+        store.tags.push_back(kTagNull);
+        store.i64.push_back(0);
+        store.f64.push_back(0.0);
+      } else if (cell.type_ == ValueType::kInt) {
+        // The cell stays an int (exact round-trip, type-first ordering);
+        // the f64 lane carries the widened reading.
+        store.tags.push_back(kTagValue);
+        store.i64.push_back(cell.int_);
+        store.f64.push_back(static_cast<double>(cell.int_));
+      } else {
+        store.tags.push_back(kTagDouble);
+        store.i64.push_back(0);
+        store.f64.push_back(cell.double_);
+      }
+      break;
+    case ColumnKind::kBool:
+      store.tags.push_back(null ? kTagNull : kTagValue);
+      store.b8.push_back(!null && cell.bool_ ? 1 : 0);
+      break;
+    case ColumnKind::kString:
+      store.str.push_back(null ? kNullStringId : intern(cell.text_));
+      break;
+    case ColumnKind::kGeneric:
+      if (cell.boxed_ != nullptr) {
+        store.generic.push_back(*cell.boxed_);
+      } else if (cell.bytes_ != nullptr) {
+        store.generic.emplace_back(*cell.bytes_);
+      } else {
+        store.generic.emplace_back();
+      }
+      break;
+  }
 }
 
 Value Table::cell_value(std::size_t column, std::uint32_t row) const {
@@ -462,46 +496,105 @@ void Table::clear() {
   row_count_ = 0;
 }
 
+void Table::reserve(std::size_t rows) {
+  for (ColumnStore& store : columns_) {
+    switch (store.kind) {
+      case ColumnKind::kInt64:
+        store.tags.reserve(rows);
+        store.i64.reserve(rows);
+        break;
+      case ColumnKind::kFloat64:
+        store.tags.reserve(rows);
+        store.i64.reserve(rows);
+        store.f64.reserve(rows);
+        break;
+      case ColumnKind::kBool:
+        store.tags.reserve(rows);
+        store.b8.reserve(rows);
+        break;
+      case ColumnKind::kString:
+        store.str.reserve(rows);
+        break;
+      case ColumnKind::kGeneric:
+        store.generic.reserve(rows);
+        break;
+    }
+  }
+}
+
 // ---- column-block serialisation --------------------------------------------
 
 void Table::serialize_columns(ByteWriter& writer) const {
   // Interned-string dictionary, then one length-prefixed block per column.
+  // Each block is written in place behind a placeholder length that is
+  // patched once the block is complete.
   writer.u32(static_cast<std::uint32_t>(pool_.size()));
   for (const std::string& text : pool_) writer.string(text);
   for (const ColumnStore& store : columns_) {
-    ByteWriter block;
-    block.u8(static_cast<std::uint8_t>(store.kind));
+    const std::size_t length_at = writer.size();
+    writer.u64(0);
+    const std::size_t block_start = writer.size();
+    writer.u8(static_cast<std::uint8_t>(store.kind));
     switch (store.kind) {
       case ColumnKind::kInt64:
-        block.raw(store.tags.data(), store.tags.size());
+        writer.raw(store.tags.data(), store.tags.size());
         for (std::uint32_t r = 0; r < row_count_; ++r) {
-          if (store.tags[r] != kTagNull) block.i64(store.i64[r]);
+          if (store.tags[r] != kTagNull) writer.i64(store.i64[r]);
         }
         break;
       case ColumnKind::kFloat64:
-        block.raw(store.tags.data(), store.tags.size());
+        writer.raw(store.tags.data(), store.tags.size());
         for (std::uint32_t r = 0; r < row_count_; ++r) {
           if (store.tags[r] == kTagValue) {
-            block.i64(store.i64[r]);
+            writer.i64(store.i64[r]);
           } else if (store.tags[r] == kTagDouble) {
-            block.f64(store.f64[r]);
+            writer.f64(store.f64[r]);
           }
         }
         break;
       case ColumnKind::kBool:
-        block.raw(store.tags.data(), store.tags.size());
-        block.raw(store.b8.data(), store.b8.size());
+        writer.raw(store.tags.data(), store.tags.size());
+        writer.raw(store.b8.data(), store.b8.size());
         break;
       case ColumnKind::kString:
-        for (std::uint32_t id : store.str) block.u32(id);
+        for (std::uint32_t id : store.str) writer.u32(id);
         break;
       case ColumnKind::kGeneric:
-        for (const Value& cell : store.generic) block.value(cell);
+        for (const Value& cell : store.generic) writer.value(cell);
         break;
     }
-    writer.u64(block.size());
-    writer.raw(block.bytes().data(), block.size());
+    writer.patch_u64(length_at, writer.size() - block_start);
   }
+}
+
+std::size_t Table::serialized_columns_size() const {
+  // Mirrors serialize_columns() block by block.
+  std::size_t size = 4;
+  for (const std::string& text : pool_) size += 4 + text.size();
+  for (const ColumnStore& store : columns_) {
+    size += 8 + 1;  // block length, kind
+    switch (store.kind) {
+      case ColumnKind::kInt64:
+      case ColumnKind::kFloat64: {
+        std::size_t cells = 0;
+        for (std::uint8_t tag : store.tags) cells += tag != kTagNull ? 1 : 0;
+        size += store.tags.size() + 8 * cells;
+        break;
+      }
+      case ColumnKind::kBool:
+        size += store.tags.size() + store.b8.size();
+        break;
+      case ColumnKind::kString:
+        size += 4 * store.str.size();
+        break;
+      case ColumnKind::kGeneric:
+        for (const Value& cell : store.generic) {
+          size += ByteWriter::value_size(cell);
+        }
+        break;
+    }
+  }
+  return size;
 }
 
 Status Table::deserialize_columns(ByteReader& reader, std::uint64_t rows) {

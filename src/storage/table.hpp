@@ -12,7 +12,10 @@
 // any other declared type (bytes, array, map) fall back to a plain Value
 // vector.  Rows are materialised on demand through RowView, a cheap
 // (pointer, index) cursor — callers that need whole Values still get them,
-// hot paths read typed cells without boxing.
+// hot paths read typed cells without boxing.  Writes take the same route
+// the other way: `append` copies borrowed Cells straight into the column
+// lanes, and `insert(Row)` views its Values as Cells and goes through the
+// same checks and the same per-kind writer.
 //
 // Queries are accelerated by lazily built, mutation-maintained structures:
 // `select_equals`/`count_equals` build a per-column hash index on first use
@@ -28,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,6 +63,37 @@ struct TableSchema {
 using Row = ValueArray;
 
 class Table;
+
+/// One borrowed cell for Table::append: null, int64, double, a string view
+/// or a reference to bytes.  Nothing is copied until the append stores it,
+/// so whatever a Cell refers to must outlive the call.
+class Cell {
+ public:
+  Cell() noexcept = default;  ///< null
+  Cell(std::int64_t v) noexcept : type_(ValueType::kInt), int_(v) {}  // NOLINT
+  Cell(int v) noexcept : Cell(static_cast<std::int64_t>(v)) {}  // NOLINT
+  Cell(double v) noexcept : type_(ValueType::kDouble), double_(v) {}  // NOLINT
+  Cell(std::string_view v) noexcept  // NOLINT
+      : type_(ValueType::kString), text_(v) {}
+  Cell(const std::string& v) noexcept : Cell(std::string_view(v)) {}  // NOLINT
+  Cell(const char* v) noexcept : Cell(std::string_view(v)) {}  // NOLINT
+  Cell(const Bytes& v) noexcept : type_(ValueType::kBytes), bytes_(&v) {}  // NOLINT
+
+  ValueType type() const noexcept { return type_; }
+
+ private:
+  friend class Table;
+  /// A view of a boxed cell of any type (the insert(Row) path).
+  explicit Cell(const Value& v) noexcept;
+
+  ValueType type_ = ValueType::kNull;
+  std::int64_t int_ = 0;
+  double double_ = 0.0;
+  bool bool_ = false;
+  std::string_view text_;
+  const Bytes* bytes_ = nullptr;
+  const Value* boxed_ = nullptr;  ///< bytes / array / map Values
+};
 
 /// A cheap cursor to one row of a columnar table.  Cells materialise to
 /// Value through operator[]; the typed accessors read the column storage
@@ -108,7 +143,10 @@ class Table {
   }
 
   /// Insert a row; arity and types are checked (null allowed if nullable).
-  Status insert(Row row);
+  Status insert(const Row& row);
+  /// Append a row of borrowed cells: the same checks as insert() and the
+  /// same stored cells, without boxing each one into a Value.
+  Status append(std::initializer_list<Cell> cells);
 
   /// Rows matching a predicate (linear scan, insertion order).
   std::vector<RowView> select(const RowPredicate& predicate) const;
@@ -125,11 +163,16 @@ class Table {
   Result<Value> cell(const RowView& row, std::string_view column) const;
 
   void clear();
+  /// Make room for `rows` rows in every column, so that appending that
+  /// many allocates each column once instead of growing it step by step.
+  void reserve(std::size_t rows);
 
   // ---- column-block serialisation (used by Database) ---------------------
   /// Append the interning dictionary plus one length-prefixed block per
   /// column to `writer`.
   void serialize_columns(ByteWriter& writer) const;
+  /// Bytes serialize_columns() appends.
+  std::size_t serialized_columns_size() const;
   /// Read back `rows` rows worth of column blocks; validates tags, string
   /// ids and nullability against the schema.
   Status deserialize_columns(ByteReader& reader, std::uint64_t rows);
@@ -183,6 +226,11 @@ class Table {
 
   static ColumnKind kind_for(ValueType type) noexcept;
 
+  /// Check a row of `count` cells against the schema, then store it.
+  Status append_cells(const Cell* cells, std::size_t count);
+  /// Store one checked cell in its column: the one switch over column
+  /// kinds on the write path.
+  void put(ColumnStore& store, const Cell& cell);
   std::uint32_t intern(std::string_view text);
   /// Key of the cell at (column, row).
   CellKey key_at(const ColumnStore& store, std::uint32_t row) const;
@@ -201,8 +249,18 @@ class Table {
   TableSchema schema_;
   std::vector<ColumnStore> columns_;
   std::size_t row_count_ = 0;
+  /// Hashes std::string and string_view alike, so interning looks a view
+  /// up without building a std::string.
+  struct TextHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const noexcept {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
   std::vector<std::string> pool_;  // interned strings, id = position
-  std::unordered_map<std::string, std::uint32_t> pool_ids_;
+  std::unordered_map<std::string, std::uint32_t, TextHash, std::equal_to<>>
+      pool_ids_;
 };
 
 }  // namespace excovery::storage

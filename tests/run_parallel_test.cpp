@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
@@ -193,6 +194,21 @@ TEST(RunParallel, PackageBitIdenticalAcrossWorkerCounts) {
                         package.value().database(),
                         ("run_workers=" + std::to_string(workers)).c_str());
   }
+}
+
+// The bytes of one small executed experiment, pinned at one worker.  The
+// worker-count comparisons above cannot see a layout change that every
+// worker count shares; this pin also covers the string event parameters,
+// packet captures and run infos of a real execution.
+TEST(RunParallel, PackageBytesPinnedAtOneWorker) {
+  MasterOptions sequential;
+  sequential.run_workers = 1;
+  Result<storage::ExperimentPackage> package =
+      run_package(small_experiment(2), sequential);
+  ASSERT_TRUE(package.ok()) << package.error().to_string();
+  const Bytes image = package.value().database().serialize();
+  EXPECT_EQ(Sha256().update(image.data(), image.size()).finish_hex(),
+            "340a3575293d2ae6e90f17346a79b246ab74fae27115bd8d05d3168de7922159");
 }
 
 // Satellite (d) with recovery in the mix: an aborted first attempt on one

@@ -169,6 +169,52 @@ TEST(Analysis, DiscoveriesExtractLatenciesPerRun) {
   EXPECT_TRUE(runs.value()[2].latencies.empty());
 }
 
+TEST(Analysis, DiscoveriesOrderSearchersByNameWithinRun) {
+  storage::ExperimentPackage package;
+  (void)package.set_experiment_info("<e/>", "order", "");
+  // Run 2 is recorded first; the output still lists run 1 first.
+  (void)package.add_run_info({2, "SU0", 10.0, 0.0});
+  (void)package.add_event({2, "SU0", 11.0, "sd_start_search", "_t"});
+  (void)package.add_event({2, "SU0", 11.2, "sd_service_add", "SM0"});
+  (void)package.add_run_info({1, "SU0", 0.0, 0.0});
+  // SU1 searches first, but SU0 sorts first by name.
+  (void)package.add_event({1, "SU1", 1.0, "sd_start_search", "_t"});
+  (void)package.add_event({1, "SU1", 1.3, "sd_service_add", "SM0"});
+  (void)package.add_event({1, "SU1", 9.0, "wait_timeout", "sd_service_add"});
+  // A CommonTime tie at 2.0: SU0's add was recorded before its search, so
+  // in stable time order it precedes the search and is ignored.  The add
+  // at 2.5 is SU0's first discovery of SM0; the one at 2.7 comes too late.
+  (void)package.add_event({1, "SU0", 2.5, "sd_service_add", "SM0"});
+  (void)package.add_event({1, "SU0", 2.0, "sd_service_add", "SM0"});
+  (void)package.add_event({1, "SU0", 2.0, "sd_start_search", "_t"});
+  (void)package.add_event({1, "SU0", 2.7, "sd_service_add", "SM0"});
+
+  Result<std::vector<RunDiscovery>> runs = discoveries(package);
+  ASSERT_TRUE(runs.ok());
+  ASSERT_EQ(runs.value().size(), 3u);
+
+  const RunDiscovery& su0 = runs.value()[0];
+  EXPECT_EQ(su0.run_id, 1);
+  EXPECT_EQ(su0.searcher, "SU0");
+  EXPECT_DOUBLE_EQ(su0.search_start, 2.0);
+  ASSERT_EQ(su0.latencies.size(), 1u);
+  EXPECT_DOUBLE_EQ(su0.latencies.at("SM0"), 0.5);
+  EXPECT_FALSE(su0.timed_out);
+
+  const RunDiscovery& su1 = runs.value()[1];
+  EXPECT_EQ(su1.run_id, 1);
+  EXPECT_EQ(su1.searcher, "SU1");
+  EXPECT_DOUBLE_EQ(su1.search_start, 1.0);
+  ASSERT_EQ(su1.latencies.size(), 1u);
+  EXPECT_NEAR(su1.latencies.at("SM0"), 0.3, 1e-9);
+  EXPECT_TRUE(su1.timed_out);
+
+  const RunDiscovery& later = runs.value()[2];
+  EXPECT_EQ(later.run_id, 2);
+  EXPECT_EQ(later.searcher, "SU0");
+  EXPECT_NEAR(later.latencies.at("SM0"), 0.2, 1e-9);
+}
+
 TEST(Analysis, ResponsivenessCountsDeadlineHits) {
   storage::ExperimentPackage package = synthetic_package();
   // Deadline 3 s, 1 provider required: runs 1 and 2 succeed.
