@@ -7,13 +7,13 @@
 //
 //   configuration       turns on                                gated on
 //   bare                nothing: the baseline of every row      -
-//   obs-metrics         per-link counters + per-iteration       flood, unicast,
-//                       MetricsShard sampling                   sched_churn
-//   obs-trace           per-packet lifecycle hook into a        (reported)
-//                       TraceBuffer
+//   obs-metrics         per-iteration MetricsShard sampling     flood, unicast,
+//                                                               sched_churn
+//   obs-trace           lineage-graph, plus the packet track    (reported)
+//                       rendered into a TraceBuffer
 //   lineage-ring        lineage log, flight-recorder ring only  flood, unicast
-//   lineage-graph       full graph retention, plus critical     (reported)
-//                       paths on mdns
+//   lineage-graph       full graph retention and per-link       (reported)
+//                       counts, plus critical paths on mdns
 //   faults-idle         injector + schedule engine built, one   flood, unicast
 //                       fault started and stopped
 //   faults-churn-world  crash/restart churn, Gilbert-Elliott    (reported)
@@ -27,7 +27,7 @@
 // keeps its lower value.  Throughput is the fastest repetition.
 //
 // The bench also checks that a full experiment executed with the complete
-// obs stack attached (metrics + spans + packet lifecycles) produces a
+// obs stack attached (metrics + spans + packet track) produces a
 // bit-identical package.
 //
 // Results go to BENCH_overhead.json (curated format, bench/collect_bench.py).
@@ -131,32 +131,6 @@ struct World {
   std::unique_ptr<faults::FaultScheduleEngine> engine;
 };
 
-/// The obs layer's packet hook shape: lifecycle events rendered into a live
-/// TraceBuffer, like RunExecutor::on_packet_trace.
-void install_packet_hook(World& world) {
-  world.network->set_packet_trace_hook(
-      [&world](const net::PacketTraceEvent& event) {
-        const std::int64_t ts = world.scheduler.now().nanos();
-        std::string pkt = excovery::strings::format(
-            "pkt %llu", static_cast<unsigned long long>(event.uid));
-        switch (event.kind) {
-          case net::PacketTraceEvent::Kind::kSend:
-            world.trace->async_begin(obs::Track::kSim, event.uid,
-                                     std::move(pkt), "packet", ts);
-            break;
-          case net::PacketTraceEvent::Kind::kDeliver:
-          case net::PacketTraceEvent::Kind::kDrop:
-            world.trace->async_end(obs::Track::kSim, event.uid,
-                                   std::move(pkt), "packet", ts);
-            break;
-          default:
-            world.trace->instant(obs::Track::kSim, 0, std::move(pkt),
-                                 "packet", ts);
-            break;
-        }
-      });
-}
-
 /// A representative dynamic world for the whole bench: crash/restart churn,
 /// Gilbert-Elliott bursty loss and source-side reordering.
 void arm_churn_world(World& world, const FaultSites& sites) {
@@ -191,18 +165,15 @@ void attach(Config config, World& world, const FaultSites& sites) {
     case Config::kBare:
       return;
     case Config::kObsMetrics:
-      if (world.network) world.network->enable_link_stats();
       world.sample_metrics = true;
       return;
     case Config::kObsTrace:
-      world.trace.emplace(true);
-      install_packet_hook(world);
-      return;
     case Config::kLineageRing:
     case Config::kLineageGraph:
       world.lineage = std::make_unique<sim::LineageLog>();
-      world.lineage->set_graph_enabled(config == Config::kLineageGraph);
+      world.lineage->set_graph_enabled(config != Config::kLineageRing);
       world.network->set_lineage(world.lineage.get());
+      if (config == Config::kObsTrace) world.trace.emplace(true);
       return;
     case Config::kFaultsIdle:
     case Config::kFaultsChurnWorld:
@@ -241,6 +212,11 @@ double timed_loop(World& world, int iterations, Body&& body) {
       world.lineage->begin_run(static_cast<std::uint64_t>(i + 1), 1);
     }
     body();
+    // What an attached ObsContext derives from the graph after every run.
+    if (world.lineage && world.lineage->graph_enabled()) {
+      if (world.network->link_counts().empty()) std::abort();
+      if (world.trace) obs::render_packet_track(*world.lineage, *world.trace);
+    }
     if (world.sample_metrics) {
       const std::uint64_t executed = world.scheduler.executed();
       world.shard.add(executed_id, executed - world.sampled_executed);
@@ -591,14 +567,15 @@ int main(int argc, char** argv) {
         "Instrumentation overhead (bench/bench_overhead.cpp, DESIGN.md "
         "\\u00a711, \\u00a712, \\u00a716) on four kernel workloads. 'bare' = "
         "the workload with nothing attached; 'current' = the same workload "
-        "with one configuration attached: obs-metrics (per-link counters + "
-        "per-iteration MetricsShard sampling), obs-trace (per-packet "
-        "lifecycle hook into a TraceBuffer), lineage-ring (flight-recorder "
-        "ring), lineage-graph (full graph retention, plus critical paths on "
-        "mdns), faults-idle (injector + schedule engine built, one fault "
-        "started and stopped), faults-churn-world (churn, Gilbert-Elliott "
-        "loss, reordering). gate PASS/OVER-BUDGET marks the pairs held to "
-        "the 3% budget (obs-metrics on flood, unicast and sched_churn; "
+        "with one configuration attached: obs-metrics (per-iteration "
+        "MetricsShard sampling), obs-trace (lineage-graph plus the packet "
+        "track rendered into a TraceBuffer), lineage-ring (flight-recorder "
+        "ring), lineage-graph (full graph retention and per-link counts, "
+        "plus critical paths on mdns), faults-idle (injector + schedule "
+        "engine built, one fault started and stopped), faults-churn-world "
+        "(churn, Gilbert-Elliott loss, reordering). gate PASS/OVER-BUDGET "
+        "marks the pairs held to the 3% budget (obs-metrics on flood, "
+        "unicast and sched_churn; "
         "lineage-ring and faults-idle on flood and unicast); 'reported' "
         "rows are not gated. Rates are the fastest repetition on process "
         "CPU; overhead_percent is the median of per-repetition paired "

@@ -1,14 +1,8 @@
 #include "common/thread_pool.hpp"
 
-namespace excovery {
+#include <algorithm>
 
-namespace {
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
+namespace excovery {
 
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
@@ -30,21 +24,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::enqueue(std::function<void()> fn) {
-  QueuedTask task;
-  task.fn = std::move(fn);
-  if (observer_.load(std::memory_order_acquire) != nullptr) {
-    task.enqueued_ns = steady_now_ns();
-  }
   {
     std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(std::move(fn));
   }
   cv_.notify_one();
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    QueuedTask task;
+    std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -52,15 +41,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (ThreadPoolObserver* obs = observer_.load(std::memory_order_acquire)) {
-      const std::int64_t start = steady_now_ns();
-      const std::int64_t delay =
-          task.enqueued_ns > 0 ? start - task.enqueued_ns : 0;
-      task.fn();
-      obs->on_task(delay, steady_now_ns() - start);
-      continue;
-    }
-    task.fn();
+    task();
   }
 }
 

@@ -4,10 +4,7 @@
 // worker count.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -16,15 +13,6 @@
 #include <vector>
 
 namespace excovery {
-
-/// Utilization callback for a ThreadPool (implemented by the observability
-/// layer; declared here so common does not depend on obs).  on_task runs on
-/// the worker thread after each task and must be thread-safe.
-class ThreadPoolObserver {
- public:
-  virtual ~ThreadPoolObserver() = default;
-  virtual void on_task(std::int64_t queue_delay_ns, std::int64_t busy_ns) = 0;
-};
 
 class ThreadPool {
  public:
@@ -36,13 +24,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t worker_count() const noexcept { return threads_.size(); }
-
-  /// Install (or clear, with nullptr) a utilization observer.  The observer
-  /// must outlive the pool or be cleared before destruction; tasks enqueued
-  /// while no observer is installed report a zero queue delay.
-  void set_observer(ThreadPoolObserver* observer) noexcept {
-    observer_.store(observer, std::memory_order_release);
-  }
 
   /// Enqueue a task; returns a future for its result.
   template <typename Fn>
@@ -62,19 +43,13 @@ class ThreadPool {
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
-  struct QueuedTask {
-    std::function<void()> fn;
-    std::int64_t enqueued_ns = 0;  ///< steady-clock stamp; 0 = not observed
-  };
-
   void enqueue(std::function<void()> fn);
   void worker_loop();
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<QueuedTask> queue_;
+  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
-  std::atomic<ThreadPoolObserver*> observer_{nullptr};
   bool stopping_ = false;
 };
 

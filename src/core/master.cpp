@@ -41,7 +41,7 @@ ExperiMaster::ExperiMaster(const ExperimentDescription& description,
   if (options_.obs != nullptr) {
     obs_shard_ =
         std::make_unique<obs::MetricsShard>(options_.obs->make_shard());
-    executor_->attach_obs(options_.obs, obs_shard_.get());
+    executor_->attach_obs(*options_.obs, *obs_shard_);
   }
 }
 
@@ -257,7 +257,7 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
         if (options_.obs != nullptr) {
           shard = std::make_unique<obs::MetricsShard>(
               options_.obs->make_shard());
-          executor->attach_obs(options_.obs, shard.get());
+          executor->attach_obs(*options_.obs, *shard);
         }
       }
       const RunSpec& run = *todo[i];

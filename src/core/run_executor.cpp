@@ -90,6 +90,10 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
       obs_->provenance().record_run(
           run.run_id, obs::extract_critical_paths(platform_.lineage()));
     }
+    // The packet track shows every attempt, aborted ones included.
+    if (obs_->config().trace && obs_->config().packet_trace) {
+      obs::render_packet_track(platform_.lineage(), obs_->trace());
+    }
   }
   if (!outcome.ok()) dump_flight_recorder(outcome);
 
@@ -99,23 +103,14 @@ Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
   return {};
 }
 
-void RunExecutor::attach_obs(obs::ObsContext* context,
-                             obs::MetricsShard* shard) {
-  obs_ = context;
-  obs_shard_ = shard;
-  // Full lineage-graph retention only while a context is attached: the
-  // flight-recorder ring is always on, but provenance extraction needs the
-  // whole run.  Takes effect at the next begin_run.
-  platform_.lineage().set_graph_enabled(context != nullptr);
-  if (obs_ == nullptr) {
-    platform_.network().set_packet_trace_hook(nullptr);
-    return;
-  }
-  platform_.network().enable_link_stats();
-  if (obs_->config().trace && obs_->config().packet_trace) {
-    platform_.network().set_packet_trace_hook(
-        [this](const net::PacketTraceEvent& event) { on_packet_trace(event); });
-  }
+void RunExecutor::attach_obs(obs::ObsContext& context,
+                             obs::MetricsShard& shard) {
+  obs_ = &context;
+  obs_shard_ = &shard;
+  // The flight-recorder ring is always on; an attached context also keeps
+  // the whole graph, which provenance, the packet track and the per-link
+  // counts read.  Takes effect at the next begin_run.
+  platform_.lineage().set_graph_enabled(true);
 }
 
 RunExecutor::KernelSample RunExecutor::sample_kernel() const {
@@ -134,27 +129,9 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
                                      std::int64_t sim_start_ns,
                                      std::int64_t wall_start_ns) {
   const obs::MetricIds& ids = obs_->ids();
-  auto add = [&](obs::MetricId id, std::uint64_t n) {
-    if (n == 0) return;
-    if (obs_shard_ != nullptr) {
-      obs_shard_->add(id, n);
-    } else {
-      obs_->add(id, n);
-    }
-  };
-  auto observe = [&](obs::MetricId id, double value) {
-    if (obs_shard_ != nullptr) {
-      obs_shard_->observe(id, value);
-    } else {
-      obs_->observe(id, value);
-    }
-  };
-  auto set_gauge = [&](obs::MetricId id, std::int64_t value) {
-    if (obs_shard_ != nullptr) {
-      obs_shard_->set_gauge(id, value);
-    } else {
-      obs_->set_gauge(id, value);
-    }
+  obs::MetricsShard& shard = *obs_shard_;
+  auto add = [&shard](obs::MetricId id, std::uint64_t n) {
+    if (n != 0) shard.add(id, n);
   };
 
   const KernelSample after = sample_kernel();
@@ -217,19 +194,19 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
   add(ids.fault_packets_delayed, fault_delta.packets_delayed);
   add(ids.fault_packets_duplicated, fault_delta.packets_duplicated);
   add(ids.fault_packets_reordered, fault_delta.packets_reordered);
-  observe(ids.run_sim_seconds, sim_seconds);
+  shard.observe(ids.run_sim_seconds, sim_seconds);
 
   // Best-effort/wall domain: executed counts include gated-timer husks that
   // drain on shared instances but not on fresh replicas, and gauges depend
   // on instance history — honest, but excluded from the determinism set.
   add(ids.sched_events_executed, after.executed - before.executed);
   add(ids.sched_timers_cancelled, after.cancelled - before.cancelled);
-  set_gauge(ids.sched_max_pending,
-            static_cast<std::int64_t>(platform_.scheduler().max_pending()));
-  set_gauge(ids.sched_arena_slots,
-            static_cast<std::int64_t>(platform_.scheduler().arena_size()));
-  observe(ids.run_wall_ns,
-          static_cast<double>(obs_->trace().wall_now_ns() - wall_start_ns));
+  shard.set_gauge(ids.sched_max_pending,
+                  static_cast<std::int64_t>(platform_.scheduler().max_pending()));
+  shard.set_gauge(ids.sched_arena_slots,
+                  static_cast<std::int64_t>(platform_.scheduler().arena_size()));
+  shard.observe(ids.run_wall_ns,
+                static_cast<double>(obs_->trace().wall_now_ns() - wall_start_ns));
 
   // The ledger holds deterministic per-run values, so only the successful
   // attempt contributes: a retried run would otherwise produce duplicate
@@ -265,76 +242,18 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
     led_kind("packets_reordered", d.packets_reordered);
   }
   led("sim.duration_s", sim_seconds);
-  if (platform_.network().link_stats_enabled()) {
-    const net::LinkStats& links = platform_.network().link_stats();
-    const net::Topology& topology = platform_.network().topology();
-    for (std::size_t from = 0; from < links.nodes; ++from) {
-      for (std::size_t to = 0; to < links.nodes; ++to) {
-        const std::size_t at = from * links.nodes + to;
-        const std::string& a = topology.node(static_cast<net::NodeId>(from)).name;
-        const std::string& b = topology.node(static_cast<net::NodeId>(to)).name;
-        if (links.sent[at] != 0) {
-          led(strings::format("net.link.%s->%s.sent", a.c_str(), b.c_str()),
-              static_cast<double>(links.sent[at]));
-        }
-        if (links.dropped[at] != 0) {
-          led(strings::format("net.link.%s->%s.dropped", a.c_str(), b.c_str()),
-              static_cast<double>(links.dropped[at]));
-        }
-      }
-    }
-  }
-}
-
-void RunExecutor::on_packet_trace(const net::PacketTraceEvent& event) {
-  obs::TraceBuffer& trace = obs_->trace();
-  if (!trace.enabled()) return;
-  const std::int64_t ts = platform_.scheduler().now().nanos();
   const net::Topology& topology = platform_.network().topology();
-  const std::string& node = topology.node(event.node).name;
-  // Flow ids fold the run id in so uids recycled across runs stay distinct.
-  const std::int64_t run_id = current_run_ != nullptr ? current_run_->run_id : 0;
-  const std::uint64_t flow = (static_cast<std::uint64_t>(run_id) << 32) ^
-                             (event.uid & 0xFFFFFFFFull);
-  std::string pkt =
-      strings::format("pkt %llu", static_cast<unsigned long long>(event.uid));
-  switch (event.kind) {
-    case net::PacketTraceEvent::Kind::kSend:
-      trace.async_begin(
-          obs::Track::kSim, flow, std::move(pkt), "packet", ts,
-          strings::format("{\"from\":\"%s\",\"bytes\":%zu}",
-                          obs::json_escape(node).c_str(), event.bytes));
-      break;
-    case net::PacketTraceEvent::Kind::kHop:
-      trace.instant(
-          obs::Track::kSim, 0, "hop", "packet", ts,
-          strings::format(
-              "{\"uid\":%llu,\"from\":\"%s\",\"to\":\"%s\"}",
-              static_cast<unsigned long long>(event.uid),
-              obs::json_escape(node).c_str(),
-              obs::json_escape(topology.node(event.peer).name).c_str()));
-      break;
-    case net::PacketTraceEvent::Kind::kDup:
-      trace.instant(obs::Track::kSim, 0, "dup", "packet", ts,
-                    strings::format("{\"uid\":%llu,\"at\":\"%s\"}",
-                                    static_cast<unsigned long long>(event.uid),
-                                    obs::json_escape(node).c_str()));
-      break;
-    case net::PacketTraceEvent::Kind::kDeliver:
-      trace.instant(obs::Track::kSim, 0, "deliver", "packet", ts,
-                    strings::format("{\"uid\":%llu,\"at\":\"%s\"}",
-                                    static_cast<unsigned long long>(event.uid),
-                                    obs::json_escape(node).c_str()));
-      trace.async_end(obs::Track::kSim, flow, std::move(pkt), "packet", ts);
-      break;
-    case net::PacketTraceEvent::Kind::kDrop:
-      trace.instant(obs::Track::kSim, 0,
-                    strings::format("drop:%s", event.detail), "packet", ts,
-                    strings::format("{\"uid\":%llu,\"at\":\"%s\"}",
-                                    static_cast<unsigned long long>(event.uid),
-                                    obs::json_escape(node).c_str()));
-      trace.async_end(obs::Track::kSim, flow, std::move(pkt), "packet", ts);
-      break;
+  for (const net::LinkCount& link : platform_.network().link_counts()) {
+    const char* a = topology.node(link.from).name.c_str();
+    const char* b = topology.node(link.to).name.c_str();
+    if (link.sent != 0) {
+      led(strings::format("net.link.%s->%s.sent", a, b),
+          static_cast<double>(link.sent));
+    }
+    if (link.dropped != 0) {
+      led(strings::format("net.link.%s->%s.dropped", a, b),
+          static_cast<double>(link.dropped));
+    }
   }
 }
 

@@ -63,15 +63,13 @@ class RunExecutor : public ActionDispatcher {
   Status execute_run(const RunSpec& run, int attempt = 1);
 
   /// Attach observability: per-attempt kernel/network/fault deltas are
-  /// recorded into `shard` (or, when `shard` is null, into the context's
-  /// locked fallback shard), run spans go to the context's trace buffer,
-  /// and deterministic per-run values to its ledger.  Enables per-link
-  /// packet statistics on the platform's network, full lineage-graph
-  /// retention for provenance extraction (each successful attempt's
-  /// critical paths land in the context's provenance ledger), and — when
-  /// the context asks for packet traces — installs the per-packet
-  /// lifecycle hook.  A null `context` detaches.
-  void attach_obs(obs::ObsContext* context, obs::MetricsShard* shard);
+  /// recorded into `shard`, run spans go to the context's trace buffer,
+  /// and deterministic per-run values to its ledger.  Turns on full
+  /// lineage-graph retention, from which each attempt derives its views
+  /// (DESIGN.md §16): the successful attempt's critical paths (into the
+  /// provenance ledger) and per-link counts (into the ledger), and — when
+  /// the context asks for packet traces — every attempt's packet track.
+  void attach_obs(obs::ObsContext& context, obs::MetricsShard& shard);
 
   SimPlatform& platform() noexcept { return platform_; }
 
@@ -101,7 +99,6 @@ class RunExecutor : public ActionDispatcher {
   void record_attempt_obs(const RunSpec& run, const Status& status,
                           const KernelSample& before, std::int64_t sim_start_ns,
                           std::int64_t wall_start_ns);
-  void on_packet_trace(const net::PacketTraceEvent& event);
   /// Failed attempt: dump the lineage ring to the flight directory (no-op
   /// when none is configured).
   void dump_flight_recorder(const Status& failure);

@@ -79,8 +79,6 @@ Result<std::uint64_t> Network::send(NodeId from, Packet packet) {
 
   stats_.sent++;
   stats_.bytes_sent += packet.wire_size();
-  emit_packet_trace(PacketTraceEvent::Kind::kSend, packet.uid, from, from,
-                    "send", packet.wire_size());
   const std::uint64_t lin_send = lin_record(
       sim::LineageKind::kSend, lin_ambient(), packet.uid, from, from,
       lin_labels_.send);
@@ -151,8 +149,6 @@ void Network::launch_duplicates(NodeId from, const Packet& packet, int copies,
       stats_.sent++;
       stats_.duplicated++;
       stats_.bytes_sent += copy.wire_size();
-      emit_packet_trace(PacketTraceEvent::Kind::kSend, copy.uid, from, from,
-                        "duplicate", copy.wire_size());
       // The ambient context here is the original send (captured when the
       // copy was scheduled), so injected copies link to their cause.
       const std::uint64_t lin_copy = lin_record(
@@ -229,11 +225,20 @@ void Network::set_clock_model(NodeId node, const sim::ClockModel& model) {
 void Network::set_lineage(sim::LineageLog* log) {
   lineage_ = log;
   node_labels_.clear();
+  label_nodes_.clear();
   lin_labels_ = {};
   if (!log) return;
   node_labels_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     node_labels_.push_back(log->intern(topology_.node(i).name));
+  }
+  // And back, for link_counts(); label 0 (interner full) names no node.
+  for (NodeId node = 0; node < node_labels_.size(); ++node) {
+    const std::uint16_t label = node_labels_[node];
+    if (label >= label_nodes_.size()) {
+      label_nodes_.resize(label + 1, kInvalidNode);
+    }
+    if (label != 0) label_nodes_[label] = node;
   }
   lin_labels_.send = log->intern("send");
   lin_labels_.duplicate = log->intern("duplicate");
@@ -250,10 +255,57 @@ void Network::set_lineage(sim::LineageLog* log) {
   lin_labels_.no_handler = log->intern("no_handler");
 }
 
-void Network::enable_link_stats() {
-  link_stats_.nodes = nodes_.size();
-  link_stats_.sent.assign(nodes_.size() * nodes_.size(), 0);
-  link_stats_.dropped.assign(nodes_.size() * nodes_.size(), 0);
+std::vector<LinkCount> Network::link_counts() const {
+  std::vector<LinkCount> out;
+  if (!lineage_) return out;
+  // One counter per directed adjacency slot, found the way find_link
+  // finds the link model.
+  std::vector<LinkCount> slots(adj_neighbour_.size());
+  auto node_of = [this](std::uint16_t label) {
+    return label < label_nodes_.size() ? label_nodes_[label] : kInvalidNode;
+  };
+  auto slot = [&](std::uint16_t from_label,
+                  std::uint16_t to_label) -> LinkCount* {
+    const NodeId from = node_of(from_label);
+    const NodeId to = node_of(to_label);
+    if (from == kInvalidNode || to == kInvalidNode) return nullptr;
+    for (std::uint32_t i = adj_offset_[from]; i < adj_offset_[from + 1]; ++i) {
+      if (adj_neighbour_[i] == to) return &slots[i];
+    }
+    return nullptr;
+  };
+  const LineageLabels& l = lin_labels_;
+  for (const sim::LineageEvent& event : lineage_->events()) {
+    // Arrivals are recorded at the receiver with the sender as peer, and
+    // so is a drop at a downed receiver; drops before the hop are recorded
+    // at the sender with the receiver as peer.
+    const bool arrival =
+        (event.kind == sim::LineageKind::kHop && event.label == l.hop) ||
+        (event.kind == sim::LineageKind::kDup && event.label == l.dup);
+    const bool drop = event.kind == sim::LineageKind::kDrop;
+    if (arrival || (drop && event.label == l.rx_down)) {
+      if (LinkCount* link = slot(event.peer, event.node)) {
+        link->sent++;
+        if (drop) link->dropped++;
+      }
+    } else if (drop && (event.label == l.loss || event.label == l.queue ||
+                        event.label == l.link_down)) {
+      if (LinkCount* link = slot(event.node, event.peer)) link->dropped++;
+    }
+  }
+  out.reserve(std::count_if(slots.begin(), slots.end(), [](const LinkCount& c) {
+    return c.sent != 0 || c.dropped != 0;
+  }));
+  for (NodeId from = 0; from < nodes_.size(); ++from) {
+    const std::size_t first = out.size();
+    for (std::uint32_t i = adj_offset_[from]; i < adj_offset_[from + 1]; ++i) {
+      if (slots[i].sent == 0 && slots[i].dropped == 0) continue;
+      out.push_back({from, adj_neighbour_[i], slots[i].sent, slots[i].dropped});
+    }
+    std::sort(out.begin() + first, out.end(),
+              [](const LinkCount& a, const LinkCount& b) { return a.to < b.to; });
+  }
+  return out;
 }
 
 void Network::reset_run_state() {
@@ -396,8 +448,6 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
   const LinkModel* link = find_link(from, to);
   if (!link) {
     stats_.dropped_no_route++;
-    emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, from, to,
-                      "no_route", packet.wire_size());
     lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from, to,
                lin_labels_.no_route);
     return;
@@ -408,18 +458,12 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
   if (!disabled_links_.empty() &&
       disabled_links_.contains(pack_link(from, to))) {
     stats_.dropped_link_down++;
-    count_link(from, to, /*dropped=*/true);
-    emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, from, to,
-                      "link_down", packet.wire_size());
     lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from, to,
                lin_labels_.link_down);
     return;
   }
   if (loss_rng_.bernoulli(link->loss)) {
     stats_.dropped_loss++;
-    count_link(from, to, /*dropped=*/true);
-    emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, from, to,
-                      "loss", packet.wire_size());
     lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from, to,
                lin_labels_.loss);
     return;
@@ -434,9 +478,6 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
     sim::SimDuration queueing = start - now;
     if (queueing > queue_limit_) {
       stats_.dropped_queue++;
-      count_link(from, to, /*dropped=*/true);
-      emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, from, to,
-                        "queue", packet.wire_size());
       lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from,
                  to, lin_labels_.queue);
       return;
@@ -444,7 +485,6 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
     sender.tx_free_at = start + serialisation(*link, packet.wire_size());
     delay += queueing;
   }
-  count_link(from, to, /*dropped=*/false);
   scheduler_.schedule(
       delay, [this, from, to, packet = std::move(packet),
               on_arrival = std::move(on_arrival)]() mutable {
@@ -453,15 +493,10 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
         // arrival was scheduled.
         if (!receiver.rx_up) {
           stats_.dropped_interface++;
-          count_link(from, to, /*dropped=*/true);
-          emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, to,
-                            from, "rx_down", packet.wire_size());
           lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, to,
                      from, lin_labels_.rx_down);
           return;
         }
-        emit_packet_trace(PacketTraceEvent::Kind::kHop, packet.uid, to, from,
-                          "hop", packet.wire_size());
         // Lineage hop recording is the callback's job: flood suppresses
         // duplicates first so a dead-end arrival costs one event, not two.
         packet.route.push_back(to);
@@ -486,15 +521,11 @@ void Network::deliver_local(NodeId node, Packet packet) {
     auto it = s.handlers.find(packet.dst_port);
     if (it == s.handlers.end()) {
       stats_.dropped_no_handler++;
-      emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, node, node,
-                        "no_handler", packet.wire_size());
       lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, node,
                  node, lin_labels_.no_handler);
       return;
     }
     stats_.delivered++;
-    emit_packet_trace(PacketTraceEvent::Kind::kDeliver, packet.uid, node,
-                      node, "deliver", packet.wire_size());
     // The handler (and everything it sends, schedules or stores) descends
     // from this delivery — this is the link that lets provenance walk from
     // an sd_service_add back to the packet that caused it.
@@ -578,8 +609,6 @@ void Network::forward_unicast(NodeId current, Packet packet) {
 void Network::flood(NodeId origin_hop, Packet packet) {
   if (packet.ttl == 0) {
     stats_.dropped_ttl++;
-    emit_packet_trace(PacketTraceEvent::Kind::kDrop, packet.uid, origin_hop,
-                      origin_hop, "ttl", packet.wire_size());
     lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid,
                origin_hop, origin_hop, lin_labels_.ttl);
     return;
@@ -597,12 +626,10 @@ void Network::flood(NodeId origin_hop, Packet packet) {
     // Duplicate suppression: first arrival wins.  Suppressed arrivals
     // dominate a flood (~2.5 per fresh hop on a grid) yet are causally
     // dead — no descendants, never on a critical path — so they are
-    // retained only for the opt-in provenance graph.  Ring-only mode
-    // skips them: they would evict live events from the bounded flight
-    // recorder, and packet traces still carry every suppression.
+    // retained only for the opt-in provenance graph, where the packet
+    // track and link_counts() read them.  Ring-only mode skips them: they
+    // would evict live events from the bounded flight recorder.
     if (!state.seen_uids.insert(arrived.uid)) {
-      emit_packet_trace(PacketTraceEvent::Kind::kDup, arrived.uid, here, here,
-                        "dup", arrived.wire_size());
       if (lineage_ && lineage_->graph_active())
         lin_record(sim::LineageKind::kDup, lin_ambient(), arrived.uid, here,
                    prev, lin_labels_.dup);

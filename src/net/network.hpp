@@ -16,7 +16,6 @@
 // DES testbed forwards link-scope multicast for Zeroconf experiments.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -124,26 +123,13 @@ struct NetworkStats {
   std::uint64_t bytes_sent = 0;
 };
 
-/// One moment in a packet's lifecycle, reported to the observability layer
-/// when a trace hook is installed (src/obs renders these as sim-track
-/// events).  `detail` is a static string naming the drop cause or hop kind.
-struct PacketTraceEvent {
-  enum class Kind : std::uint8_t { kSend, kHop, kDeliver, kDup, kDrop };
-  Kind kind = Kind::kSend;
-  std::uint64_t uid = 0;
-  NodeId node = 0;        ///< node where the event happened
-  NodeId peer = 0;        ///< other end of the hop (kSend/kHop only)
-  const char* detail = "";
-  std::size_t bytes = 0;
-};
-using PacketTraceHook = std::function<void(const PacketTraceEvent&)>;
-
-/// Per-directed-link counters (row-major from*n+to), collected only when
-/// enabled: the matrix is O(n^2) and the increments sit on the per-hop path.
-struct LinkStats {
-  std::size_t nodes = 0;
-  std::vector<std::uint64_t> sent;     ///< hops scheduled from->to
-  std::vector<std::uint64_t> dropped;  ///< hops dropped on from->to
+/// Traffic over one directed link during the current run, derived from the
+/// lineage graph by Network::link_counts().
+struct LinkCount {
+  NodeId from = 0;
+  NodeId to = 0;
+  std::uint64_t sent = 0;     ///< hops scheduled from -> to
+  std::uint64_t dropped = 0;  ///< hops dropped on from -> to
 };
 
 class Network {
@@ -194,24 +180,7 @@ class Network {
   void set_clock_model(NodeId node, const sim::ClockModel& model);
 
   const NetworkStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept {
-    stats_ = {};
-    if (link_stats_.nodes != 0) {
-      std::fill(link_stats_.sent.begin(), link_stats_.sent.end(), 0);
-      std::fill(link_stats_.dropped.begin(), link_stats_.dropped.end(), 0);
-    }
-  }
-
-  /// Turn on per-directed-link hop counters (off by default; O(n^2) memory).
-  void enable_link_stats();
-  bool link_stats_enabled() const noexcept { return link_stats_.nodes != 0; }
-  const LinkStats& link_stats() const noexcept { return link_stats_; }
-
-  /// Install (or clear, with nullptr/empty) the packet lifecycle hook.  The
-  /// hook runs synchronously inside the data plane — keep it cheap.
-  void set_packet_trace_hook(PacketTraceHook hook) {
-    trace_hook_ = std::move(hook);
-  }
+  void reset_stats() noexcept { stats_ = {}; }
 
   /// Attach (or detach, with nullptr) the causal lineage log (DESIGN.md
   /// §16).  Every send/hop/deliver/drop/dup then records a LineageEvent
@@ -224,6 +193,14 @@ class Network {
   /// their protocol-level events (query rounds, answers, cache hits)
   /// through the same log.
   sim::LineageLog* lineage() noexcept { return lineage_; }
+  /// Per-directed-link hop counts of the current run, walked from the
+  /// attached log's retained graph (DESIGN.md §16), ordered by (from, to);
+  /// links that carried nothing are omitted.  A hop, a suppressed flood
+  /// arrival or a receiver-down drop at `to` counts as sent from -> to; a
+  /// loss, queue or link-down drop at `from` toward `to`, or the
+  /// receiver-down drop, counts as dropped.  Empty unless the log retains
+  /// its graph.
+  std::vector<LinkCount> link_counts() const;
   /// Interned lineage label of a node's name (0 when no log is attached).
   std::uint16_t lineage_node_label(NodeId node) const noexcept {
     return node < node_labels_.size() ? node_labels_[node] : 0;
@@ -334,26 +311,6 @@ class Network {
   /// over the cached adjacency instead of a scan of every link.
   const LinkModel* find_link(NodeId from, NodeId to) const noexcept;
 
-  void count_link(NodeId from, NodeId to, bool dropped) noexcept {
-    if (link_stats_.nodes == 0) return;
-    auto& counters = dropped ? link_stats_.dropped : link_stats_.sent;
-    counters[from * link_stats_.nodes + to]++;
-  }
-
-  void emit_packet_trace(PacketTraceEvent::Kind kind, std::uint64_t uid,
-                         NodeId node, NodeId peer, const char* detail,
-                         std::size_t bytes) {
-    if (!trace_hook_) return;
-    PacketTraceEvent event;
-    event.kind = kind;
-    event.uid = uid;
-    event.node = node;
-    event.peer = peer;
-    event.detail = detail;
-    event.bytes = bytes;
-    trace_hook_(event);
-  }
-
   /// Ambient causal context (the lineage id the current activity descends
   /// from); 0 outside any context.
   std::uint64_t lin_ambient() const noexcept {
@@ -408,10 +365,9 @@ class Network {
   std::vector<NodeState> nodes_;
   std::vector<InstalledFilter> filters_;
   NetworkStats stats_;
-  LinkStats link_stats_;
-  PacketTraceHook trace_hook_;
   sim::LineageLog* lineage_ = nullptr;
   std::vector<std::uint16_t> node_labels_;  ///< NodeId -> interned name
+  std::vector<NodeId> label_nodes_;         ///< interned name -> NodeId
   LineageLabels lin_labels_;
   sim::SimDuration queue_limit_ = sim::SimDuration::from_millis(250);
   bool capture_ = true;

@@ -24,8 +24,7 @@ std::string_view to_string(MetricDomain domain) noexcept {
 }
 
 MetricId MetricsRegistry::intern(std::string_view name, MetricKind kind,
-                                 MetricDomain domain, std::string_view unit,
-                                 const HistogramSpec& hist) {
+                                 MetricDomain domain, std::string_view unit) {
   std::lock_guard lock(mutex_);
   for (std::size_t i = 0; i < descs_.size(); ++i) {
     if (descs_[i].name == name) {
@@ -37,41 +36,24 @@ MetricId MetricsRegistry::intern(std::string_view name, MetricKind kind,
   desc.kind = kind;
   desc.domain = domain;
   desc.unit = std::string(unit);
-  desc.hist = hist;
   descs_.push_back(std::move(desc));
   return MetricId{static_cast<std::uint32_t>(descs_.size() - 1)};
 }
 
 MetricId MetricsRegistry::counter(std::string_view name, MetricDomain domain,
                                   std::string_view unit) {
-  return intern(name, MetricKind::kCounter, domain, unit, {});
+  return intern(name, MetricKind::kCounter, domain, unit);
 }
 
 MetricId MetricsRegistry::gauge(std::string_view name, MetricDomain domain,
                                 std::string_view unit) {
-  return intern(name, MetricKind::kGauge, domain, unit, {});
-}
-
-MetricId MetricsRegistry::histogram(std::string_view name, MetricDomain domain,
-                                    double lo, double hi, std::size_t bins,
-                                    std::string_view unit) {
-  HistogramSpec spec;
-  spec.log_scale = false;
-  spec.lo = lo;
-  // Degenerate bounds would make the bin width non-positive; widen like
-  // stats::Histogram does.
-  spec.hi = hi > lo ? hi : lo + 1.0;
-  spec.bins = bins == 0 ? 1 : bins;
-  return intern(name, MetricKind::kHistogram, domain, unit, spec);
+  return intern(name, MetricKind::kGauge, domain, unit);
 }
 
 MetricId MetricsRegistry::log_histogram(std::string_view name,
                                         MetricDomain domain,
                                         std::string_view unit) {
-  HistogramSpec spec;
-  spec.log_scale = true;
-  spec.bins = kLogBins;
-  return intern(name, MetricKind::kHistogram, domain, unit, spec);
+  return intern(name, MetricKind::kHistogram, domain, unit);
 }
 
 std::vector<MetricDesc> MetricsRegistry::descriptors() const {
@@ -169,17 +151,6 @@ MetricCell& MetricsShard::ensure(MetricId id) {
   return cells_[id.index];
 }
 
-const HistogramSpec& MetricsShard::spec_for(MetricId id) {
-  if (id.index >= spec_cache_.size()) {
-    std::vector<MetricDesc> descs = registry_->descriptors();
-    spec_cache_.resize(descs.size());
-    for (std::size_t i = 0; i < descs.size(); ++i) {
-      spec_cache_[i] = descs[i].hist;
-    }
-  }
-  return spec_cache_[id.index];
-}
-
 const MetricCell* MetricsShard::cell(MetricId id) const noexcept {
   if (!id.valid() || id.index >= cells_.size()) return nullptr;
   return &cells_[id.index];
@@ -210,24 +181,8 @@ void MetricsShard::observe(MetricId id, double value) {
   cell.sum = round_expansion(cell.sum_parts);
   cell.min = std::min(cell.min, value);
   cell.max = std::max(cell.max, value);
-
-  const HistogramSpec& spec = spec_for(id);
-  if (spec.log_scale) {
-    if (cell.bins.empty()) cell.bins.resize(kLogBins, 0);
-    ++cell.bins[log_bin(value)];
-    return;
-  }
-  if (cell.bins.empty()) cell.bins.resize(spec.bins + 2, 0);
-  if (value < spec.lo) {
-    ++cell.bins.front();
-  } else if (value >= spec.hi) {
-    ++cell.bins.back();
-  } else {
-    double width = (spec.hi - spec.lo) / static_cast<double>(spec.bins);
-    auto bin = static_cast<std::size_t>((value - spec.lo) / width);
-    if (bin >= spec.bins) bin = spec.bins - 1;
-    ++cell.bins[bin + 1];
-  }
+  if (cell.bins.empty()) cell.bins.resize(kLogBins, 0);
+  ++cell.bins[log_bin(value)];
 }
 
 void MetricsShard::merge_from(const MetricsShard& other) {

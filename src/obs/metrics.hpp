@@ -2,9 +2,8 @@
 //
 // ExCovery's measurement promise (§IV-A of the paper) covers the system
 // under test; this registry turns the same discipline onto the execution
-// engine: scheduler dispatch, network fan-out, run retries, pool
-// utilization and storage conditioning all report here instead of being
-// runtime black boxes.
+// engine: scheduler dispatch, network fan-out, run retries and storage
+// conditioning all report here instead of being runtime black boxes.
 //
 // Shape: a shared MetricsRegistry interns metric names to dense ids (cold
 // path, mutex-protected); each platform instance — the master's own, or a
@@ -52,23 +51,11 @@ struct MetricId {
   bool valid() const noexcept { return index != kInvalid; }
 };
 
-/// Histogram shape.  Equal-width histograms bin [lo, hi) into `bins` equal
-/// cells plus under/overflow; log-scale histograms bin by power of two
-/// (bin b covers [2^(b-16), 2^(b-15)), clamped to 64 bins), which spans
-/// sub-microsecond to multi-hour values without choosing bounds up front.
-struct HistogramSpec {
-  bool log_scale = false;
-  double lo = 0.0;
-  double hi = 1.0;
-  std::size_t bins = 16;
-};
-
 struct MetricDesc {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   MetricDomain domain = MetricDomain::kDeterministic;
   std::string unit;
-  HistogramSpec hist;
 };
 
 /// Name-interning registry shared by every shard of one execution.
@@ -82,8 +69,9 @@ class MetricsRegistry {
   MetricId gauge(std::string_view name,
                  MetricDomain domain = MetricDomain::kDeterministic,
                  std::string_view unit = "");
-  MetricId histogram(std::string_view name, MetricDomain domain, double lo,
-                     double hi, std::size_t bins, std::string_view unit = "");
+  /// Histograms bin by power of two (bin b covers [2^(b-16), 2^(b-15)),
+  /// clamped to 64 bins), which spans sub-microsecond to multi-hour values
+  /// without choosing bounds up front.
   MetricId log_histogram(std::string_view name,
                          MetricDomain domain = MetricDomain::kDeterministic,
                          std::string_view unit = "");
@@ -94,7 +82,7 @@ class MetricsRegistry {
 
  private:
   MetricId intern(std::string_view name, MetricKind kind, MetricDomain domain,
-                  std::string_view unit, const HistogramSpec& hist);
+                  std::string_view unit);
 
   mutable std::mutex mutex_;
   std::vector<MetricDesc> descs_;
@@ -124,7 +112,7 @@ struct MetricCell {
   /// grow-expansion, the algorithm behind Python's math.fsum); `sum` is
   /// this expansion correctly rounded.
   std::vector<double> sum_parts;
-  /// Equal-width: [underflow, bins..., overflow]; log-scale: kLogBins cells.
+  /// Histogram observations per log-scale bin (kLogBins cells).
   std::vector<std::uint64_t> bins;
 };
 
@@ -151,13 +139,9 @@ class MetricsShard {
 
  private:
   MetricCell& ensure(MetricId id);
-  const HistogramSpec& spec_for(MetricId id);
 
   const MetricsRegistry* registry_;
   std::vector<MetricCell> cells_;
-  /// Descriptor shapes cached per id (ids are stable, shapes immutable), so
-  /// the observe hot path never takes the registry lock.
-  std::vector<HistogramSpec> spec_cache_;
 };
 
 /// Bin index for a value in a log-scale histogram.

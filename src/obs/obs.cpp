@@ -112,10 +112,6 @@ ObsContext::ObsContext(ObsConfig config)
       registry_.gauge("sched.arena_slots", D::kBestEffort, "slots");
 
   ids_.run_wall_ns = registry_.log_histogram("run.wall_ns", D::kWall, "ns");
-  ids_.pool_tasks = registry_.counter("pool.tasks", D::kWall, "tasks");
-  ids_.pool_queue_delay_ns =
-      registry_.log_histogram("pool.queue_delay_ns", D::kWall, "ns");
-  ids_.pool_busy_ns = registry_.log_histogram("pool.busy_ns", D::kWall, "ns");
   ids_.condition_wall_ns =
       registry_.log_histogram("storage.condition_wall_ns", D::kWall, "ns");
   ids_.condition_shards =
@@ -146,16 +142,6 @@ MetricCell ObsContext::merged_cell(MetricId id) const {
   std::lock_guard lock(merge_mutex_);
   const MetricCell* cell = merged_.cell(id);
   return cell ? *cell : MetricCell{};
-}
-
-void ObsContext::PoolObserverImpl::on_task(std::int64_t queue_delay_ns,
-                                           std::int64_t busy_ns) {
-  std::lock_guard lock(owner_->merge_mutex_);
-  owner_->merged_.add(owner_->ids_.pool_tasks);
-  owner_->merged_.observe(owner_->ids_.pool_queue_delay_ns,
-                          static_cast<double>(queue_delay_ns));
-  owner_->merged_.observe(owner_->ids_.pool_busy_ns,
-                          static_cast<double>(busy_ns));
 }
 
 void ObsContext::report_progress(std::size_t completed, std::size_t total,
@@ -324,8 +310,7 @@ std::string ObsContext::metrics_json() const {
           out += ",\"max\":";
           append_double(out, cell->max);
         }
-        // Non-empty bins as [lower_bound, count] pairs for log-scale
-        // histograms, [index, count] pairs for equal-width ones.
+        // Non-empty bins as [lower_bound, count] pairs.
         out += ",\"bins\":[";
         {
           bool first = true;
@@ -334,11 +319,7 @@ std::string ObsContext::metrics_json() const {
             if (!first) out += ',';
             first = false;
             out += '[';
-            if (desc.hist.log_scale) {
-              append_double(out, log_bin_lower(b));
-            } else {
-              append_u64(out, b);
-            }
+            append_double(out, log_bin_lower(b));
             out += ',';
             append_u64(out, cell->bins[b]);
             out += ']';

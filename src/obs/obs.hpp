@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
@@ -31,8 +30,9 @@ struct ObsConfig {
   /// Collect trace events (spans, packet lifecycles).  Metrics are always
   /// collected while a context is attached.
   bool trace = true;
-  /// Record per-packet lifecycle events on the sim track.  Off by default:
-  /// at one async pair per packet this dominates trace size on large runs.
+  /// Draw the packet track on the sim track after every attempt (DESIGN.md
+  /// §11).  Off by default: at one async slice per packet this dominates
+  /// trace size on large runs.
   bool packet_trace = false;
   /// Minimum seconds between run-progress log lines (<= 0 logs every run).
   double progress_interval_s = 1.0;
@@ -70,9 +70,6 @@ struct MetricIds {
 
   // -- wall: real-time measurements, never exported into packages ----------
   MetricId run_wall_ns;            ///< log-hist of per-attempt wall time
-  MetricId pool_tasks;             ///< thread-pool tasks executed
-  MetricId pool_queue_delay_ns;    ///< log-hist: enqueue -> start
-  MetricId pool_busy_ns;           ///< log-hist: task execution time
   MetricId condition_wall_ns;      ///< log-hist: conditioning phase wall time
   MetricId condition_shards;       ///< node stores conditioned
 };
@@ -125,10 +122,6 @@ class ObsContext {
   /// Copy of a metric's merged state (zero cell if never recorded).
   MetricCell merged_cell(MetricId id) const;
 
-  /// Observer recording pool utilization into this context; pass to
-  /// ThreadPool::set_observer.  Owned by the context.
-  ThreadPoolObserver* pool_observer() noexcept { return &pool_observer_; }
-
   /// Rate-limited run-progress report (INFO log + wall-track counter).
   void report_progress(std::size_t completed, std::size_t total,
                        std::int64_t run_id, int attempt);
@@ -158,15 +151,6 @@ class ObsContext {
   Status export_provenance(storage::ExperimentPackage& package) const;
 
  private:
-  class PoolObserverImpl : public ThreadPoolObserver {
-   public:
-    explicit PoolObserverImpl(ObsContext* owner) : owner_(owner) {}
-    void on_task(std::int64_t queue_delay_ns, std::int64_t busy_ns) override;
-
-   private:
-    ObsContext* owner_;
-  };
-
   ObsConfig config_;
   MetricsRegistry registry_;
   MetricIds ids_;
@@ -176,8 +160,6 @@ class ObsContext {
 
   mutable std::mutex merge_mutex_;
   MetricsShard merged_;
-
-  PoolObserverImpl pool_observer_{this};
 
   std::mutex progress_mutex_;
   std::chrono::steady_clock::time_point started_;

@@ -15,6 +15,22 @@ namespace {
 /// sd layer).
 constexpr std::string_view kServiceAddEvent = "sd_service_add";
 
+/// Packet lifecycle events; hybrid's uid-0 dedup marker is a report, not a
+/// packet.
+bool is_packet_event(const sim::LineageEvent& event) {
+  switch (event.kind) {
+    case sim::LineageKind::kSend:
+    case sim::LineageKind::kHop:
+    case sim::LineageKind::kDeliver:
+    case sim::LineageKind::kDrop:
+      return true;
+    case sim::LineageKind::kDup:
+      return event.uid != 0;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 std::string describe(const sim::LineageLog& log,
@@ -74,6 +90,67 @@ std::vector<CriticalPath> extract_critical_paths(const sim::LineageLog& log) {
     out.push_back(std::move(path));
   }
   return out;
+}
+
+void render_packet_track(const sim::LineageLog& log, TraceBuffer& trace) {
+  const std::vector<sim::LineageEvent>& events = log.events();
+  // The network hands out uids in sequence, so one attempt's packets span
+  // a dense range from its lowest uid.
+  std::uint64_t first_uid = ~std::uint64_t{0};
+  std::uint64_t last_uid = 0;
+  for (const sim::LineageEvent& event : events) {
+    if (!is_packet_event(event)) continue;
+    first_uid = std::min(first_uid, event.uid);
+    last_uid = std::max(last_uid, event.uid);
+  }
+  if (first_uid > last_uid) return;
+  // Index of the last event of every sent uid: where its slice ends.
+  constexpr std::size_t kUnsent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> last(last_uid - first_uid + 1, kUnsent);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const sim::LineageEvent& event = events[i];
+    if (!is_packet_event(event)) continue;
+    std::size_t& end = last[event.uid - first_uid];
+    if (event.kind == sim::LineageKind::kSend || end != kUnsent) end = i;
+  }
+  const std::uint64_t slice_base = (log.run_id() << 40) |
+                                   (std::uint64_t{log.attempt() & 0xFF} << 32);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const sim::LineageEvent& event = events[i];
+    if (!is_packet_event(event)) continue;
+    const std::uint64_t slice = slice_base | (event.uid & 0xFFFFFFFF);
+    const auto uid = static_cast<unsigned long long>(event.uid);
+    const std::string node = json_escape(log.name(event.node));
+    switch (event.kind) {
+      case sim::LineageKind::kSend:
+        trace.async_begin(Track::kSim, slice, strings::format("pkt %llu", uid),
+                          "packet", event.ts_ns,
+                          strings::format("{\"from\":\"%s\"}", node.c_str()));
+        break;
+      case sim::LineageKind::kHop:
+        trace.instant(
+            Track::kSim, 0, "hop", "packet", event.ts_ns,
+            strings::format("{\"uid\":%llu,\"from\":\"%s\",\"to\":\"%s\"}",
+                            uid, json_escape(log.name(event.peer)).c_str(),
+                            node.c_str()));
+        break;
+      default: {
+        std::string name(to_string(event.kind));
+        if (event.kind == sim::LineageKind::kDrop) {
+          name += ':';
+          name += log.name(event.label);
+        }
+        trace.instant(Track::kSim, 0, std::move(name), "packet", event.ts_ns,
+                      strings::format("{\"uid\":%llu,\"at\":\"%s\"}", uid,
+                                      node.c_str()));
+        break;
+      }
+    }
+    if (last[event.uid - first_uid] == i) {
+      trace.async_end(Track::kSim, slice, strings::format("pkt %llu", uid),
+                      "packet", event.ts_ns);
+    }
+  }
 }
 
 void ProvenanceLedger::record_run(std::int64_t run_id,

@@ -1,5 +1,5 @@
-// Responsiveness attribution (DESIGN.md §16): turn a run's causal lineage
-// graph into per-discovery *critical paths*.
+// Views over a run's retained causal lineage graph (DESIGN.md §16):
+// per-discovery *critical paths* and the packet track.
 //
 // A discovery is the first sd_service_add event a node records for a given
 // service instance.  Walking its lineage parents back to the root yields the
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/lineage.hpp"
 #include "storage/package.hpp"
 
@@ -49,6 +50,14 @@ std::string describe(const sim::LineageLog& log,
 /// walked back to the root.  Returns paths in discovery order; empty when
 /// graph retention was off.
 std::vector<CriticalPath> extract_critical_paths(const sim::LineageLog& log);
+
+/// Draw the packet events of the log's retained graph on the sim track
+/// (DESIGN.md §11): one async slice per (run, attempt, uid) from the send to
+/// the last event carrying that uid, and one instant per hop, dup, deliver
+/// and drop ("drop:<label>").  The slice id packs run (24 bits), attempt
+/// (8 bits) and uid (32 bits), so a retry never reuses an aborted
+/// attempt's ids.
+void render_packet_track(const sim::LineageLog& log, TraceBuffer& trace);
 
 /// Per-run critical-path rows for a whole experiment.  Like the metrics
 /// ledger, every entry is attributable to exactly one run, so the

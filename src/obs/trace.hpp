@@ -1,9 +1,9 @@
 // Trace-event layer: Chrome/Perfetto `trace_event` JSON with dual tracks
 // (DESIGN.md §11).
 //
-// Track kWall (pid 1) carries real execution: run sharding, storage
-// conditioning, thread-pool tasks.  Track kSim (pid 2) carries simulated
-// time: runs, attempts, SD transactions and per-packet lifecycles, with
+// Track kWall (pid 1) carries real execution: run sharding and storage
+// conditioning.  Track kSim (pid 2) carries simulated time: runs, attempts
+// and the packet track drawn from each attempt's lineage graph, with
 // timestamps taken from the discrete-event clock.  Because every run
 // executes at its canonical simulated-time epoch (DESIGN.md §10), the sim
 // track renders the same timeline no matter how many workers executed the

@@ -48,8 +48,8 @@ Result<ExperimentPackage> condition(const Level2Store& level2,
   };
 
   // RunInfos from the master's sync measurements; at the same time hoist
-  // the offset estimates into per-(run, node) caches (first sync per key
-  // wins, like Level2Store::offset_ns).
+  // the offset estimates into per-(run, node) caches.  The first sync per
+  // (run, node) wins; a node with no sync for a run gets offset 0.
   const auto sync_start = std::chrono::steady_clock::now();
   std::unordered_map<std::string, OffsetsByRun> offsets_by_node;
   for (const SyncMeasurement& sync : level2.syncs()) {

@@ -207,14 +207,6 @@ std::vector<std::string> Level2Store::node_names() const {
   return out;
 }
 
-std::int64_t Level2Store::offset_ns(std::int64_t run_id,
-                                    const std::string& node) const {
-  for (const SyncMeasurement& sync : syncs_) {
-    if (sync.run_id == run_id && sync.node == node) return sync.offset_ns;
-  }
-  return 0;
-}
-
 bool Level2Store::run_complete(std::int64_t run_id) const {
   return std::find(completed_runs_.begin(), completed_runs_.end(), run_id) !=
          completed_runs_.end();

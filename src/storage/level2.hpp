@@ -173,8 +173,6 @@ class Level2Store {
 
   void add_sync(SyncMeasurement sync) { syncs_.push_back(std::move(sync)); }
   const std::vector<SyncMeasurement>& syncs() const noexcept { return syncs_; }
-  /// Offset estimate for (run, node); 0 if not measured.
-  std::int64_t offset_ns(std::int64_t run_id, const std::string& node) const;
 
   /// Runs that completed (collection only conditions complete runs; an
   /// aborted run is resumed, §VII).

@@ -1,10 +1,11 @@
 // Unit tests for the network simulator: addressing, topology, routing,
-// delivery, connection control, capture and tagging.
+// delivery, connection control, capture, tagging and per-link counts.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "sim/lineage.hpp"
 #include "sim/scheduler.hpp"
 
 namespace excovery::net {
@@ -600,6 +601,64 @@ TEST(Network, HopCountMeasurement) {
   Network network(scheduler, Topology::chain(5), 1);
   EXPECT_EQ(network.hop_count(0, 4), 4);
   EXPECT_EQ(network.hop_count(1, 1), 0);
+}
+
+// ---- per-link counts from the lineage graph (DESIGN.md §16) -------------------
+
+TEST(Network, LinkCountsWalkTheLineageGraph) {
+  sim::Scheduler scheduler;
+  Network network(scheduler, Topology::chain(3), 1);
+  sim::LineageLog log;
+  log.set_graph_enabled(true);
+  log.begin_run(1, 1);
+  network.set_lineage(&log);
+  EXPECT_TRUE(network.link_counts().empty());
+
+  // Events as the data plane records them: the node where it happened,
+  // the other end of the hop as peer, the site as label.
+  auto record = [&](sim::LineageKind kind, std::uint64_t uid, NodeId node,
+                    NodeId peer, std::string_view site) {
+    log.record(kind, 0, uid, scheduler.now(), network.lineage_node_label(node),
+               network.lineage_node_label(peer), log.intern(site));
+  };
+  using K = sim::LineageKind;
+  // Sent: arrivals at the receiver, from the peer.
+  record(K::kHop, 1, 1, 0, "hop");
+  record(K::kHop, 2, 1, 0, "hop");
+  record(K::kDup, 3, 2, 1, "dup");
+  // Dropped at the sender, toward the peer.
+  record(K::kDrop, 4, 0, 1, "loss");
+  record(K::kDrop, 5, 1, 2, "queue");
+  record(K::kDrop, 6, 2, 1, "link_down");
+  // Both: recorded at the downed receiver, keyed peer -> node.
+  record(K::kDrop, 7, 2, 1, "rx_down");
+  // Counted nowhere.
+  log.record(K::kDup, 0, 0, scheduler.now(), network.lineage_node_label(1), 0,
+             log.intern("hybrid_dedup"));
+  record(K::kDrop, 8, 0, 1, "fault:message_loss");
+  record(K::kDrop, 9, 1, 2, "tx_down");
+  record(K::kDrop, 10, 0, 2, "no_route");
+  record(K::kDrop, 11, 1, 0, "ttl");
+  record(K::kDrop, 12, 2, 1, "no_handler");
+  record(K::kSend, 13, 0, 1, "send");
+  record(K::kDeliver, 1, 1, 0, "deliver");
+
+  const std::vector<LinkCount> counts = network.link_counts();
+  ASSERT_EQ(counts.size(), 3u);
+  auto expect = [&counts](std::size_t i, NodeId from, NodeId to,
+                          std::uint64_t sent, std::uint64_t dropped) {
+    EXPECT_EQ(counts[i].from, from) << i;
+    EXPECT_EQ(counts[i].to, to) << i;
+    EXPECT_EQ(counts[i].sent, sent) << i;
+    EXPECT_EQ(counts[i].dropped, dropped) << i;
+  };
+  expect(0, 0, 1, /*sent=*/2, /*dropped=*/1);  // two hops, one loss
+  expect(1, 1, 2, 2, 2);  // dup + rx_down sent; queue + rx_down dropped
+  expect(2, 2, 1, 0, 1);  // link_down
+
+  // A new run starts from an empty graph.
+  log.begin_run(2, 1);
+  EXPECT_TRUE(network.link_counts().empty());
 }
 
 }  // namespace

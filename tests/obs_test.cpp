@@ -4,13 +4,15 @@
 // ObsContext never changes a byte of the conditioned package.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +27,8 @@ using core::ExperimentDescription;
 using core::MasterOptions;
 using core::SimPlatform;
 using core::SimPlatformConfig;
+using core::scenario::TopologyKind;
+using core::scenario::TopologyOptions;
 using core::scenario::TwoPartyOptions;
 
 // ---- metrics registry + shards ---------------------------------------------
@@ -135,27 +139,26 @@ TEST(Metrics, LogBinsCoverWideRangeAndInvert) {
   }
 }
 
-TEST(MetricsShard, EqualWidthHistogramTracksRangeAndNaN) {
+TEST(MetricsShard, LogHistogramTracksRangeAndNaN) {
   MetricsRegistry registry;
-  MetricId id =
-      registry.histogram("lat", MetricDomain::kDeterministic, 0.0, 10.0, 10);
+  MetricId id = registry.log_histogram("lat", MetricDomain::kDeterministic);
   MetricsShard shard(&registry);
-  shard.observe(id, -1.0);                                   // underflow
-  shard.observe(id, 0.5);                                    // bin 0
-  shard.observe(id, 9.5);                                    // bin 9
-  shard.observe(id, 25.0);                                   // overflow
+  shard.observe(id, -1.0);                                   // non-positive
+  shard.observe(id, 0.5);                                    // [2^-1, 2^0)
+  shard.observe(id, 9.5);                                    // [2^3, 2^4)
+  shard.observe(id, 25.0);                                   // [2^4, 2^5)
   shard.observe(id, std::nan(""));                           // NaN bucket
   const MetricCell* cell = shard.cell(id);
   ASSERT_NE(cell, nullptr);
   // NaN goes to its own bucket, not into count/sum/min/max.
   EXPECT_EQ(cell->count, 4u);
   EXPECT_EQ(cell->nan_count, 1u);
-  // Layout: [underflow, 10 bins, overflow].
-  ASSERT_EQ(cell->bins.size(), 12u);
-  EXPECT_EQ(cell->bins.front(), 1u);
-  EXPECT_EQ(cell->bins[1], 1u);
-  EXPECT_EQ(cell->bins[10], 1u);
-  EXPECT_EQ(cell->bins.back(), 1u);
+  // Layout: kLogBins cells, bin b covering [2^(b-16), 2^(b-15)).
+  ASSERT_EQ(cell->bins.size(), kLogBins);
+  EXPECT_EQ(cell->bins[0], 1u);
+  EXPECT_EQ(cell->bins[15], 1u);
+  EXPECT_EQ(cell->bins[19], 1u);
+  EXPECT_EQ(cell->bins[20], 1u);
   EXPECT_EQ(cell->min, -1.0);
   EXPECT_EQ(cell->max, 25.0);
 }
@@ -229,26 +232,6 @@ TEST(Trace, DisabledBufferRecordsNothing) {
   buffer.instant(Track::kWall, 0, "ignored", "test", 1);
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_TRUE(json_balanced(buffer.to_json()));
-}
-
-// ---- thread-pool observer --------------------------------------------------
-
-TEST(ObsContext, PoolObserverCountsTasks) {
-  ObsContext obs;
-  {
-    ThreadPool pool(2);
-    pool.set_observer(obs.pool_observer());
-    std::atomic<int> ran{0};
-    pool.parallel_for(8, [&ran](std::size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 8);
-    pool.set_observer(nullptr);
-  }  // pool joined: every on_task callback has run
-  MetricCell tasks = obs.merged_cell(obs.ids().pool_tasks);
-  // The observer may be cleared while callbacks are in flight, so at least
-  // the tasks finished before the clear are counted.
-  EXPECT_GT(tasks.count, 0u);
-  MetricCell busy = obs.merged_cell(obs.ids().pool_busy_ns);
-  EXPECT_EQ(busy.count, tasks.count);
 }
 
 // ---- progress reporting ----------------------------------------------------
@@ -446,6 +429,213 @@ TEST(ObsEndToEnd, MetricsJsonAndExportAreWellFormed) {
   EXPECT_TRUE(package.value().metrics().empty());
   ASSERT_TRUE(obs.export_metrics(package.value()).ok());
   EXPECT_FALSE(package.value().metrics().empty());
+}
+
+/// Execute `options` under `master_options` on a platform built from
+/// `topology` and `seed`.
+Result<storage::ExperimentPackage> run_world(const TwoPartyOptions& options,
+                                             const TopologyOptions& topology,
+                                             std::uint64_t seed,
+                                             MasterOptions master_options) {
+  EXC_ASSIGN_OR_RETURN(ExperimentDescription description,
+                       core::scenario::two_party_sd(options));
+  SimPlatformConfig config;
+  EXC_ASSIGN_OR_RETURN(config.topology,
+                       core::scenario::topology_for(description, topology));
+  config.seed = seed;
+  EXC_ASSIGN_OR_RETURN(std::unique_ptr<SimPlatform> platform,
+                       SimPlatform::create(description, std::move(config)));
+  core::ExperiMaster master(description, *platform,
+                            std::move(master_options));
+  return master.execute();
+}
+
+// The deterministic rendering of two drop-heavy worlds, pinned at one run
+// worker, so the per-link ledger rows are checked against fixed values and
+// not only against another execution of the same code.  The congested
+// chain drops to queue overflow, downed links and link loss; the churned
+// random-geometric world drops at crashed receivers and suppresses flood
+// duplicates.
+TEST(ObsEndToEnd, DeterministicMetricsPinned) {
+  TwoPartyOptions chain;
+  chain.environment_count = 4;
+  chain.replications = 2;
+  chain.deadline_s = 6.0;
+  chain.pairs_levels = {6};
+  chain.bw_levels = {2000};
+  chain.dynamic.sm_churn = true;
+  chain.dynamic.churn_mean_uptime_s = 2.0;
+  chain.dynamic.churn_mean_downtime_s = 0.5;
+  chain.dynamic.partition_nodes = {"ENV0"};
+  chain.dynamic.partition_start_s = 1.0;
+  chain.dynamic.partition_duration_s = 2.0;
+  TopologyOptions congested;
+  congested.kind = TopologyKind::kChain;
+  congested.link.bandwidth_bps = 300e3;
+  congested.link.loss = 0.03;
+
+  TwoPartyOptions geometric;
+  geometric.sm_count = 2;
+  geometric.su_count = 2;
+  geometric.environment_count = 8;
+  geometric.replications = 2;
+  geometric.deadline_s = 6.0;
+  geometric.dynamic.sm_churn = true;
+  geometric.dynamic.churn_mean_uptime_s = 1.0;
+  geometric.dynamic.churn_mean_downtime_s = 1.0;
+  TopologyOptions churned;
+  churned.kind = TopologyKind::kRandomGeometric;
+  churned.radius = 0.5;
+
+  struct World {
+    const TwoPartyOptions& options;
+    const TopologyOptions& topology;
+    const char* sha256;
+  };
+  for (const World& world :
+       {World{chain, congested,
+              "8d85fd950108799465d66e4f022b07961a28b597f65129437baf0c8f119673f9"},
+        World{geometric, churned,
+              "38b1e3c407b34b704cd7e675a5918be449e440b8585212e054c56c8e6ffa243a"}}) {
+    ObsConfig metrics_only;
+    metrics_only.trace = false;
+    ObsContext obs(metrics_only);
+    MasterOptions options;
+    options.obs = &obs;
+    options.run_workers = 1;
+    Result<storage::ExperimentPackage> package =
+        run_world(world.options, world.topology, 5, std::move(options));
+    ASSERT_TRUE(package.ok()) << package.error().to_string();
+    const std::string rendered = obs.format_deterministic_metrics();
+    EXPECT_NE(rendered.find(".dropped="), std::string::npos) << rendered;
+    EXPECT_EQ(Sha256().update(rendered.data(), rendered.size()).finish_hex(),
+              world.sha256)
+        << rendered;
+  }
+}
+
+/// The sim-track packet events of a rendered trace.
+struct PacketTrack {
+  struct Slice {
+    int begins = 0;
+    int ends = 0;
+    double begin_ts = 0.0;
+    double end_ts = 0.0;
+  };
+  std::map<std::string, Slice> slices;  ///< by async id
+  std::map<std::string, int> instants;  ///< by name
+  /// Begin timestamps of every slice id, for locating attempts.
+  std::vector<std::pair<double, std::string>> begins;
+  /// "run R attempt A" sim spans: [start, end] timestamps.
+  std::map<std::string, std::pair<double, double>> attempts;
+};
+
+/// Value of `"key":` in one trace-event line: a quoted string's contents or
+/// the bare token up to the next ',' or '}'.
+std::string field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return "";
+  std::size_t from = at + tag.size();
+  if (line[from] == '"') {
+    return line.substr(from + 1, line.find('"', from + 1) - from - 1);
+  }
+  return line.substr(from, line.find_first_of(",}", from) - from);
+}
+
+PacketTrack parse_packet_track(const std::string& json) {
+  PacketTrack track;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::string phase = field(line, "ph");
+    if (field(line, "pid") != "2" || phase == "M") continue;
+    const double ts = std::stod(field(line, "ts"));
+    if (phase == "X") {
+      track.attempts[field(line, "name")] = {
+          ts, ts + std::stod(field(line, "dur"))};
+    } else if (phase == "i") {
+      ++track.instants[field(line, "name")];
+    } else if (phase == "b" || phase == "e") {
+      PacketTrack::Slice& slice = track.slices[field(line, "id")];
+      if (phase == "b") {
+        ++slice.begins;
+        slice.begin_ts = ts;
+        track.begins.emplace_back(ts, field(line, "id"));
+      } else {
+        ++slice.ends;
+        slice.end_ts = ts;
+      }
+    }
+  }
+  return track;
+}
+
+// The packet track is drawn from the lineage graph after each attempt:
+// every slice opens at its send and closes once, at its packet's last
+// event, and a retried run's attempts never share a slice id.
+TEST(ObsEndToEnd, PacketTrackSlicesCloseOnce) {
+  // Two parties with SU message loss, and the first attempt of run 2
+  // aborted.  Background traffic puts packets on the air before the abort
+  // hook fires, 10 ms into the attempt.
+  TwoPartyOptions lossy;
+  lossy.environment_count = 2;
+  lossy.replications = 3;
+  lossy.deadline_s = 10.0;
+  lossy.loss_levels = {0.5};
+  lossy.pairs_levels = {1};
+  lossy.bw_levels = {1000};
+  TwoPartyOptions quickstart;  // examples/quickstart's mesh
+  quickstart.environment_count = 2;
+  quickstart.replications = 3;
+
+  for (const TwoPartyOptions* world : {&lossy, &quickstart}) {
+    const bool retried = world == &lossy;
+    ObsConfig config;
+    config.packet_trace = true;
+    ObsContext obs(config);
+    MasterOptions options;
+    options.obs = &obs;
+    if (retried) {
+      options.abort_hook = [](std::int64_t run_id, int attempt) {
+        return run_id == 2 && attempt == 1;
+      };
+    }
+    Result<storage::ExperimentPackage> package =
+        run_world(*world, {}, 2026, std::move(options));
+    ASSERT_TRUE(package.ok()) << package.error().to_string();
+
+    const PacketTrack track = parse_packet_track(obs.trace().to_json());
+    ASSERT_FALSE(track.slices.empty());
+    for (const auto& [id, slice] : track.slices) {
+      EXPECT_EQ(slice.begins, 1) << id;
+      EXPECT_EQ(slice.ends, 1) << id;
+      EXPECT_GE(slice.end_ts, slice.begin_ts) << id;
+    }
+    EXPECT_GT(track.instants.count("hop"), 0u);
+    EXPECT_GT(track.instants.count("deliver"), 0u);
+    if (!retried) continue;
+    EXPECT_GT(track.instants.count("drop:fault:message_loss"), 0u);
+
+    // Both attempts of run 2 drew slices, under distinct ids.
+    std::set<std::string> first;
+    std::set<std::string> retry;
+    ASSERT_EQ(track.attempts.count("run 2 attempt 1"), 1u);
+    ASSERT_EQ(track.attempts.count("run 2 attempt 2"), 1u);
+    const auto [first_start, first_end] =
+        track.attempts.at("run 2 attempt 1");
+    const auto [retry_start, retry_end] =
+        track.attempts.at("run 2 attempt 2");
+    for (const auto& [ts, id] : track.begins) {
+      if (ts >= first_start && ts < first_end) first.insert(id);
+      if (ts > first_end && ts >= retry_start && ts <= retry_end) {
+        retry.insert(id);
+      }
+    }
+    EXPECT_FALSE(first.empty());
+    EXPECT_FALSE(retry.empty());
+    for (const std::string& id : first) EXPECT_EQ(retry.count(id), 0u) << id;
+  }
 }
 
 }  // namespace

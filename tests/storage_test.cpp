@@ -647,11 +647,13 @@ TEST(Level2, DiscardRunRemovesOnlyThatRun) {
   store.discard_run(1);
   EXPECT_EQ(store.node("A").events().size(), 1u);
   EXPECT_EQ(store.node("A").events()[0].run_id, 2);
-  EXPECT_EQ(store.syncs().size(), 1u);
   EXPECT_FALSE(store.run_complete(1));
   EXPECT_TRUE(store.run_complete(2));
-  EXPECT_EQ(store.offset_ns(2, "A"), 60);
-  EXPECT_EQ(store.offset_ns(1, "A"), 0);  // gone
+  // Only run 2's sync remains.
+  ASSERT_EQ(store.syncs().size(), 1u);
+  EXPECT_EQ(store.syncs()[0].run_id, 2);
+  EXPECT_EQ(store.syncs()[0].node, "A");
+  EXPECT_EQ(store.syncs()[0].offset_ns, 60);
 }
 
 TEST(Level2, DirectoryRoundTrip) {
@@ -673,7 +675,10 @@ TEST(Level2, DirectoryRoundTrip) {
   EXPECT_EQ(loaded.value().node("SU0").events()[0].parameter, Value{"p"});
   EXPECT_EQ(loaded.value().node("SU0").log(), "hello\n");
   EXPECT_EQ(loaded.value().node("SM0").packets()[0].data, (Bytes{7, 8}));
-  EXPECT_EQ(loaded.value().offset_ns(1, "SU0"), -5000);
+  ASSERT_EQ(loaded.value().syncs().size(), 1u);
+  EXPECT_EQ(loaded.value().syncs()[0].run_id, 1);
+  EXPECT_EQ(loaded.value().syncs()[0].node, "SU0");
+  EXPECT_EQ(loaded.value().syncs()[0].offset_ns, -5000);
   EXPECT_TRUE(loaded.value().run_complete(1));
 }
 
