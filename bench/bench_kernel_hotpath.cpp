@@ -245,7 +245,7 @@ BENCHMARK(BM_FloodGridCaptured)->Arg(6);
 /// Micro-gate for the flat sorted-vector LinkSet that replaced the
 /// std::set<LinkKey> on the packet path: a fault-flap-sized set (a handful
 /// of links down, as the dynamic-world engine produces) under the mix the
-/// kernel actually runs — mostly contains() from transfer()/flood(), with
+/// kernel actually runs — mostly contains() from admit_hop(), with
 /// occasional insert/erase from set_link_up().  Steady state must report 0
 /// allocations: the vector keeps its capacity across flaps.
 void BM_LinkSetChurn(benchmark::State& state) {
@@ -269,7 +269,7 @@ void BM_LinkSetChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkSetChurn)->Arg(8)->Arg(64);
 
-/// Flood with links down: every transfer() takes the LinkSet-lookup branch
+/// Flood with links down: every admit_hop() takes the LinkSet-lookup branch
 /// (non-empty disabled set).  Compare against BM_FloodGrid to see the
 /// degraded-path overhead.
 void BM_FloodGridDegraded(benchmark::State& state) {

@@ -58,11 +58,16 @@ def format_allocs(entry):
 
     bench_xml_rpc records ``allocations`` against an ``allocation_ceiling``
     (rendered "12 (<= 12)"); bench_service_cache records its per-hit count
-    as ``hit_allocations``.
+    as ``hit_allocations``; the google-benchmark binaries report the
+    ``allocs_per_op`` counter, an average over iterations.
     """
     allocs = entry.get("allocations", entry.get("hit_allocations"))
     if allocs is None:
-        return ""
+        allocs = entry.get("allocs_per_op")
+        if allocs is None:
+            return ""
+        return (str(round(allocs)) if abs(allocs - round(allocs)) < 0.01
+                else f"{allocs:.2f}")
     ceiling = entry.get("allocation_ceiling")
     return str(allocs) if ceiling is None else f"{allocs} (<= {ceiling})"
 
@@ -114,7 +119,7 @@ def gbench_rows(benchmarks):
             "seed": "",
             "current": format_rate(rate_of(bench)),
             "cpu": format_ns(bench["cpu_time"] * scale),
-            "allocs": "",
+            "allocs": format_allocs(bench),
             "speedup": "",
         })
     return rows

@@ -1,10 +1,42 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace excovery::net {
+
+/// The hops co-own the record through an intrusive, non-atomic count (a
+/// platform's network runs on one thread).  It lives on the heap, not in a
+/// pool of the Network: SimPlatform destroys the network before the
+/// scheduler, so queued hops are destroyed after the network is gone.
+struct Network::FloodFanout {
+  Packet packet;
+  std::uint32_t refs = 0;
+  std::uint64_t generation = 0;  ///< run generation at fan-out
+};
+
+/// 8 bytes with a noexcept move, so a flood hop closure {this, from, to,
+/// ref} stays inline in the scheduler's InlineCallback.
+class Network::FanoutRef {
+ public:
+  explicit FanoutRef(FloodFanout* fanout) noexcept : fanout_(fanout) {
+    ++fanout_->refs;
+  }
+  FanoutRef(FanoutRef&& other) noexcept
+      : fanout_(std::exchange(other.fanout_, nullptr)) {}
+  FanoutRef(const FanoutRef&) = delete;
+  FanoutRef& operator=(const FanoutRef&) = delete;
+  FanoutRef& operator=(FanoutRef&&) = delete;
+  ~FanoutRef() {
+    if (fanout_ != nullptr && --fanout_->refs == 0) delete fanout_;
+  }
+  FloodFanout& operator*() const noexcept { return *fanout_; }
+
+ private:
+  FloodFanout* fanout_;
+};
 
 Network::Network(sim::Scheduler& scheduler, Topology topology,
                  std::uint64_t seed)
@@ -107,7 +139,9 @@ Result<std::uint64_t> Network::send(NodeId from, Packet packet) {
   }
 
   std::uint64_t uid = packet.uid;
-  auto launch = [this, from, packet = std::move(packet)]() mutable {
+  auto launch = [this, from, generation = run_generation_,
+                 packet = std::move(packet)]() mutable {
+    if (generation != run_generation_) return;  // an earlier run's send
     if (packet.dst.is_multicast() || packet.dst.is_broadcast()) {
       // The sender is also a member of groups it joined (loopback delivery,
       // as real multicast sockets do with IP_MULTICAST_LOOP).
@@ -139,7 +173,9 @@ void Network::launch_duplicates(NodeId from, const Packet& packet, int copies,
   for (int i = 1; i <= copies; ++i) {
     sim::SimDuration at = initial_delay;
     for (int g = 0; g < i; ++g) at += gap;
-    scheduler_.schedule(at, [this, from, copy = packet]() mutable {
+    scheduler_.schedule(at, [this, from, generation = run_generation_,
+                             copy = packet]() mutable {
+      if (generation != run_generation_) return;  // an earlier run's copy
       NodeState& sender = nodes_[from];
       copy.uid = next_uid_++;
       copy.tag = sender.next_tag++;
@@ -338,6 +374,11 @@ void Network::begin_run(std::uint64_t run_seed) {
     state.next_tag = 1;
     state.seen_uids.clear();
   }
+  // Whatever the data plane still has queued belongs to an earlier run or
+  // an aborted attempt (a retry starts without draining them, §10): from
+  // here on it fires without effect, so it can neither deliver, capture,
+  // draw randomness nor fill a dedup set with a uid this run reuses.
+  ++run_generation_;
 }
 
 Status Network::set_link_model(NodeId a, NodeId b, const LinkModel& model) {
@@ -443,14 +484,15 @@ sim::SimDuration Network::hop_delay(const LinkModel& model,
   return delay;
 }
 
-void Network::transfer(NodeId from, NodeId to, Packet packet,
-                       std::function<void(Packet)> on_arrival) {
-  const LinkModel* link = find_link(from, to);
+std::optional<sim::SimDuration> Network::admit_hop(NodeId from, NodeId to,
+                                                   const LinkModel* link,
+                                                   std::uint64_t uid,
+                                                   std::size_t bytes) {
   if (!link) {
     stats_.dropped_no_route++;
-    lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from, to,
+    lin_record(sim::LineageKind::kDrop, lin_ambient(), uid, from, to,
                lin_labels_.no_route);
-    return;
+    return std::nullopt;
   }
   // Administratively-down link (churn/partition faults).  Checked before
   // the loss draw so a down link consumes no randomness; the empty-set test
@@ -458,17 +500,17 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
   if (!disabled_links_.empty() &&
       disabled_links_.contains(pack_link(from, to))) {
     stats_.dropped_link_down++;
-    lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from, to,
+    lin_record(sim::LineageKind::kDrop, lin_ambient(), uid, from, to,
                lin_labels_.link_down);
-    return;
+    return std::nullopt;
   }
   if (loss_rng_.bernoulli(link->loss)) {
     stats_.dropped_loss++;
-    lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from, to,
+    lin_record(sim::LineageKind::kDrop, lin_ambient(), uid, from, to,
                lin_labels_.loss);
-    return;
+    return std::nullopt;
   }
-  sim::SimDuration delay = hop_delay(*link, packet.wire_size());
+  sim::SimDuration delay = hop_delay(*link, bytes);
   // Shared-medium contention: the sender's single radio serialises its
   // transmissions.  Queueing beyond the limit is congestive tail drop.
   if (queue_limit_.nanos() > 0) {
@@ -478,30 +520,14 @@ void Network::transfer(NodeId from, NodeId to, Packet packet,
     sim::SimDuration queueing = start - now;
     if (queueing > queue_limit_) {
       stats_.dropped_queue++;
-      lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, from,
-                 to, lin_labels_.queue);
-      return;
+      lin_record(sim::LineageKind::kDrop, lin_ambient(), uid, from, to,
+                 lin_labels_.queue);
+      return std::nullopt;
     }
-    sender.tx_free_at = start + serialisation(*link, packet.wire_size());
+    sender.tx_free_at = start + serialisation(*link, bytes);
     delay += queueing;
   }
-  scheduler_.schedule(
-      delay, [this, from, to, packet = std::move(packet),
-              on_arrival = std::move(on_arrival)]() mutable {
-        NodeState& receiver = nodes_[to];
-        // The ambient context is the upstream send/hop captured when this
-        // arrival was scheduled.
-        if (!receiver.rx_up) {
-          stats_.dropped_interface++;
-          lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, to,
-                     from, lin_labels_.rx_down);
-          return;
-        }
-        // Lineage hop recording is the callback's job: flood suppresses
-        // duplicates first so a dead-end arrival costs one event, not two.
-        packet.route.push_back(to);
-        on_arrival(std::move(packet));
-      });
+  return delay;
 }
 
 void Network::deliver_local(NodeId node, Packet packet) {
@@ -515,7 +541,9 @@ void Network::deliver_local(NodeId node, Packet packet) {
                      node, node, rx.drop_cause);
     return;
   }
-  auto handoff = [this, node, packet = std::move(packet)]() mutable {
+  auto handoff = [this, node, generation = run_generation_,
+                  packet = std::move(packet)]() mutable {
+    if (generation != run_generation_) return;  // an earlier run's packet
     NodeState& s = nodes_[node];
     capture(node, Direction::kReceive, packet);
     auto it = s.handlers.find(packet.dst_port);
@@ -592,18 +620,35 @@ void Network::forward_unicast(NodeId current, Packet packet) {
     }
     stats_.forwarded++;
   }
-  transfer(current, next, std::move(packet), [this](Packet arrived) {
-    NodeId here = arrived.route.back();
-    const NodeId prev = arrived.route[arrived.route.size() - 2];
-    const std::uint64_t lin_hop =
-        lin_record(sim::LineageKind::kHop, lin_ambient(), arrived.uid, here,
-                   prev, lin_labels_.hop);
-    // Tail of this timer dispatch: the scheduler clears the ambient
-    // context after every callback, so a bare set (no RAII restore)
-    // suffices — this is the hottest lineage site in the kernel.
-    if (lin_hop != 0) scheduler_.set_current_context(lin_hop);
-    forward_unicast(here, std::move(arrived));
+  const std::optional<sim::SimDuration> delay = admit_hop(
+      current, next, find_link(current, next), packet.uid, packet.wire_size());
+  if (!delay) return;
+  scheduler_.schedule(*delay, [this, from = current, to = next,
+                               generation = run_generation_,
+                               packet = std::move(packet)]() mutable {
+    if (generation != run_generation_) return;  // an earlier run's hop
+    unicast_arrival(from, to, std::move(packet));
   });
+}
+
+void Network::unicast_arrival(NodeId from, NodeId to, Packet packet) {
+  // The ambient context is the upstream send/hop captured when this
+  // arrival was scheduled.
+  if (!nodes_[to].rx_up) {
+    stats_.dropped_interface++;
+    lin_record(sim::LineageKind::kDrop, lin_ambient(), packet.uid, to, from,
+               lin_labels_.rx_down);
+    return;
+  }
+  packet.route.push_back(to);
+  const std::uint64_t lin_hop =
+      lin_record(sim::LineageKind::kHop, lin_ambient(), packet.uid, to, from,
+                 lin_labels_.hop);
+  // Tail of this timer dispatch: the scheduler clears the ambient context
+  // after every callback, so a bare set (no RAII restore) suffices — this
+  // is the hottest lineage site in the kernel.
+  if (lin_hop != 0) scheduler_.set_current_context(lin_hop);
+  forward_unicast(to, std::move(packet));
 }
 
 void Network::flood(NodeId origin_hop, Packet packet) {
@@ -614,60 +659,96 @@ void Network::flood(NodeId origin_hop, Packet packet) {
     return;
   }
   packet.ttl--;
-  // Fan out to every neighbour.  Duplicates share the payload bytes
-  // (copy-on-write); only the header and route trace diverge per branch.
-  // The last branch moves the packet instead of copying it.
-  const std::uint32_t adj_begin = adj_offset_[origin_hop];
-  const std::uint32_t adj_end = adj_offset_[origin_hop + 1];
-  auto arrival = [this](Packet arrived) {
-    NodeId here = arrived.route.back();
-    const NodeId prev = arrived.route[arrived.route.size() - 2];
-    NodeState& state = nodes_[here];
-    // Duplicate suppression: first arrival wins.  Suppressed arrivals
-    // dominate a flood (~2.5 per fresh hop on a grid) yet are causally
-    // dead — no descendants, never on a critical path — so they are
-    // retained only for the opt-in provenance graph, where the packet
-    // track and link_counts() read them.  Ring-only mode skips them: they
-    // would evict live events from the bounded flight recorder.
-    if (!state.seen_uids.insert(arrived.uid)) {
-      if (lineage_ && lineage_->graph_active())
-        lin_record(sim::LineageKind::kDup, lin_ambient(), arrived.uid, here,
-                   prev, lin_labels_.dup);
-      return;
+  // Fan out to every neighbour.  The packet moves into one record that
+  // every admitted hop shares; a hop event carries only {from, to, ref},
+  // and a receiver builds its own packet only for a first arrival.
+  const std::uint64_t uid = packet.uid;
+  const std::size_t bytes = packet.wire_size();
+  FloodFanout* fanout = nullptr;
+  for (std::uint32_t i = adj_offset_[origin_hop];
+       i < adj_offset_[origin_hop + 1]; ++i) {
+    const NodeId to = adj_neighbour_[i];
+    const std::optional<sim::SimDuration> delay =
+        admit_hop(origin_hop, to, adj_model_[i], uid, bytes);
+    if (!delay) continue;
+    if (fanout == nullptr) {
+      fanout = new FloodFanout{std::move(packet), 0, run_generation_};
     }
-    const std::uint64_t lin_hop =
-        lin_record(sim::LineageKind::kHop, lin_ambient(), arrived.uid, here,
-                   prev, lin_labels_.hop);
-    // Tail position within this arrival dispatch (see forward_unicast).
-    if (lin_hop != 0) scheduler_.set_current_context(lin_hop);
-    bool member = arrived.dst.is_broadcast() ||
-                  state.groups.count(arrived.dst) != 0;
-    if (member) {
-      Packet local = arrived;
-      deliver_local(here, std::move(local));
-    }
-    // Relay onward if the node can transmit.
-    if (!state.tx_up) {
-      stats_.dropped_interface++;
-      lin_record(sim::LineageKind::kDrop, lin_ambient(), arrived.uid, here,
-                 here, lin_labels_.tx_down);
-      return;
-    }
-    Packet onward = std::move(arrived);
-    FilterOutcome relay_tx = apply_filters(here, Direction::kTransmit, onward);
-    if (relay_tx.drop) {
-      stats_.dropped_filter++;
-      lin_record_cause(sim::LineageKind::kDrop, lin_ambient(), onward.uid,
-                       here, here, relay_tx.drop_cause);
-      return;
-    }
-    stats_.forwarded++;
-    flood(here, std::move(onward));
-  };
-  for (std::uint32_t i = adj_begin; i < adj_end; ++i) {
-    Packet copy = i + 1 == adj_end ? std::move(packet) : packet;
-    transfer(origin_hop, adj_neighbour_[i], std::move(copy), arrival);
+    auto hop = [this, from = origin_hop, to, ref = FanoutRef(fanout)] {
+      flood_arrival(from, to, *ref);
+    };
+    static_assert(sizeof(hop) <= 32, "a flood hop is {this, from, to, ref}");
+    scheduler_.schedule(*delay, std::move(hop));
   }
+}
+
+void Network::flood_arrival(NodeId from, NodeId to, FloodFanout& fanout) {
+  if (fanout.generation != run_generation_) return;  // an earlier run's hop
+  NodeState& state = nodes_[to];
+  const std::uint64_t uid = fanout.packet.uid;
+  // The ambient context is the upstream send/hop captured when this
+  // arrival was scheduled.
+  if (!state.rx_up) {
+    stats_.dropped_interface++;
+    lin_record(sim::LineageKind::kDrop, lin_ambient(), uid, to, from,
+               lin_labels_.rx_down);
+    return;
+  }
+  // Duplicate suppression: first arrival wins.  Suppressed arrivals
+  // dominate a flood (~2.5 per fresh hop on a grid) yet are causally
+  // dead — no descendants, never on a critical path — so they are
+  // retained only for the opt-in provenance graph, where the packet
+  // track and link_counts() read them.  Ring-only mode skips them: they
+  // would evict live events from the bounded flight recorder.
+  if (!state.seen_uids.insert(uid)) {
+    if (lineage_ && lineage_->graph_active())
+      lin_record(sim::LineageKind::kDup, lin_ambient(), uid, to, from,
+                 lin_labels_.dup);
+    return;
+  }
+  // First arrival: this node's own packet.  The last hop still holding
+  // the record takes its packet; any other copies it with room in the
+  // route for this hop.
+  Packet arrived;
+  if (fanout.refs == 1) {
+    arrived = std::move(fanout.packet);
+  } else {
+    // Copy everything but the route, then the route into a reserved one.
+    std::vector<NodeId> shared_route = std::move(fanout.packet.route);
+    arrived = fanout.packet;
+    fanout.packet.route = std::move(shared_route);
+    arrived.route.reserve(fanout.packet.route.size() + 1);
+    arrived.route.assign(fanout.packet.route.begin(),
+                         fanout.packet.route.end());
+  }
+  arrived.route.push_back(to);
+  const std::uint64_t lin_hop =
+      lin_record(sim::LineageKind::kHop, lin_ambient(), uid, to, from,
+                 lin_labels_.hop);
+  // Tail position within this arrival dispatch (see unicast_arrival).
+  if (lin_hop != 0) scheduler_.set_current_context(lin_hop);
+  bool member = arrived.dst.is_broadcast() ||
+                state.groups.count(arrived.dst) != 0;
+  if (member) {
+    Packet local = arrived;
+    deliver_local(to, std::move(local));
+  }
+  // Relay onward if the node can transmit.
+  if (!state.tx_up) {
+    stats_.dropped_interface++;
+    lin_record(sim::LineageKind::kDrop, lin_ambient(), uid, to, to,
+               lin_labels_.tx_down);
+    return;
+  }
+  FilterOutcome relay_tx = apply_filters(to, Direction::kTransmit, arrived);
+  if (relay_tx.drop) {
+    stats_.dropped_filter++;
+    lin_record_cause(sim::LineageKind::kDrop, lin_ambient(), arrived.uid, to,
+                     to, relay_tx.drop_cause);
+    return;
+  }
+  stats_.forwarded++;
+  flood(to, std::move(arrived));
 }
 
 }  // namespace excovery::net

@@ -231,6 +231,8 @@ class Network {
   /// network randomness a function of the seed alone rather than of the
   /// draw counts of whatever ran before on this platform instance — the
   /// prerequisite for executing runs out of order or on worker replicas.
+  /// Also starts a new run generation: every hop, delayed launch and
+  /// delayed handoff scheduled before this call becomes inert.
   void begin_run(std::uint64_t run_seed);
 
   /// Degrade or restore a specific link at runtime (used by environment
@@ -292,10 +294,20 @@ class Network {
 
   void capture(NodeId node, Direction dir, const Packet& packet);
 
-  /// Per-hop transfer: schedules arrival of `packet` at `to` from `from`.
-  /// Invokes `on_arrival` if the hop succeeds (loss/downed-rx drop it).
-  void transfer(NodeId from, NodeId to, Packet packet,
-                std::function<void(Packet)> on_arrival);
+  /// A relay's one copy of a flooded packet, shared by the hops it fans
+  /// out to its neighbours, and one hop's share of it (network.cpp,
+  /// DESIGN.md §8).
+  struct FloodFanout;
+  class FanoutRef;
+
+  /// The admission checks of one hop from `from` to its neighbour `to`
+  /// over `link`, in order: no link, link down, loss draw, delay (the
+  /// jitter draw) and egress queueing.  Returns the arrival delay, or
+  /// nullopt after counting and recording the drop.
+  std::optional<sim::SimDuration> admit_hop(NodeId from, NodeId to,
+                                            const LinkModel* link,
+                                            std::uint64_t uid,
+                                            std::size_t bytes);
 
   sim::SimDuration hop_delay(const LinkModel& model, std::size_t bytes);
 
@@ -305,7 +317,11 @@ class Network {
 
   void deliver_local(NodeId node, Packet packet);
   void forward_unicast(NodeId current, Packet packet);
+  void unicast_arrival(NodeId from, NodeId to, Packet packet);
   void flood(NodeId origin_hop, Packet packet);
+  /// A flood hop reaching `to`: drops at a downed receiver, suppresses a
+  /// duplicate, and builds the node's own packet only for a first arrival.
+  void flood_arrival(NodeId from, NodeId to, FloodFanout& fanout);
 
   /// Link model toward an adjacent node, nullptr if not adjacent.  O(degree)
   /// over the cached adjacency instead of a scan of every link.
@@ -372,6 +388,9 @@ class Network {
   sim::SimDuration queue_limit_ = sim::SimDuration::from_millis(250);
   bool capture_ = true;
   std::uint64_t next_uid_ = 1;
+  /// Bumped by begin_run; a scheduled closure carrying an older value
+  /// belongs to an earlier run (or aborted attempt) and does nothing.
+  std::uint64_t run_generation_ = 0;
   std::uint64_t next_filter_id_ = 1;
   Pcg32 loss_rng_;
   Pcg32 jitter_rng_;

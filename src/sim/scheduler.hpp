@@ -28,8 +28,9 @@ namespace excovery::sim {
 /// Move-only callable with inline small-buffer storage.  Callables up to
 /// `kInlineSize` bytes (and nothrow-movable) are stored in place; larger
 /// ones fall back to a single heap cell.  The buffer is sized so the
-/// network data plane's per-hop continuations (which carry a whole Packet)
-/// stay inline.
+/// network data plane's closures that carry a whole Packet — the unicast
+/// hop, the delayed send launch and the delayed delivery handoff — stay
+/// inline.
 class InlineCallback {
  public:
   static constexpr std::size_t kInlineSize = 128;

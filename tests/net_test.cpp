@@ -335,6 +335,55 @@ TEST(Network, MulticastDuplicateSuppression) {
   for (const auto& [node, count] : deliveries) EXPECT_EQ(count, 1);
 }
 
+// An aborted attempt's hops can still be queued when the retry calls
+// begin_run.  The retry's first packet gets uid 1 again, so a stale first
+// arrival would be delivered and captured in the new run and would
+// suppress the new packet at that node.
+TEST(Network, StaleHopsAfterBeginRunAreInert) {
+  sim::Scheduler scheduler;
+  Network network(scheduler, Topology::grid(6, 6), 1);
+  const Address group = Address::sd_multicast();
+  std::vector<std::pair<NodeId, std::uint8_t>> deliveries;  // (node, byte 0)
+  for (NodeId id = 0; id < network.node_count(); ++id) {
+    network.join_group(id, group);
+    network.bind(id, 5353, [&deliveries](NodeId node, const Packet& p) {
+      deliveries.emplace_back(node, p.payload[0]);
+    });
+  }
+  Packet stale = make_packet(group, 5353);
+  stale.payload.assign(10, 0xAA);
+  ASSERT_EQ(network.send(0, std::move(stale)).value(), 1u);
+  scheduler.run(20);  // partway through the flood
+  ASSERT_GT(scheduler.pending(), 0u);
+
+  // What RunExecutor does for the next attempt: begin_run, then
+  // prepare_run's reset_run_state.
+  network.begin_run(2);
+  network.reset_run_state();
+  network.reset_stats();
+  deliveries.clear();
+  Packet fresh = make_packet(group, 5353);
+  fresh.payload.assign(10, 0xBB);
+  ASSERT_EQ(network.send(0, std::move(fresh)).value(), 1u);
+  scheduler.run();
+
+  std::map<NodeId, int> received;
+  for (const auto& [node, byte] : deliveries) {
+    EXPECT_EQ(byte, 0xBB) << "node " << node << " got the stale packet";
+    received[node]++;
+  }
+  EXPECT_EQ(received.size(), network.node_count());
+  for (const auto& [node, count] : received) {
+    EXPECT_EQ(count, 1) << "node " << node;
+  }
+  for (NodeId id = 0; id < network.node_count(); ++id) {
+    for (const CapturedPacket& captured : network.captures(id)) {
+      EXPECT_EQ(captured.packet.payload[0], 0xBB) << "capture at " << id;
+    }
+  }
+  EXPECT_EQ(network.stats().delivered, network.node_count());
+}
+
 TEST(Network, MulticastTtlLimitsReach) {
   sim::Scheduler scheduler;
   Network network(scheduler, Topology::chain(6), 1);

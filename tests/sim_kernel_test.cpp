@@ -1,16 +1,20 @@
 // Hot-path kernel overhaul tests: timer-arena edge cases, zero-allocation
-// steady state, copy-on-write payload semantics, indexed event-bus
-// dispatch, and a determinism replay proof over a seeded mesh scenario.
+// steady state, copy-on-write payload semantics, flood fan-out allocations
+// and record lifetime, indexed event-bus dispatch, and a determinism replay
+// proof (and pin) over a seeded mesh scenario.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "net/uid_set.hpp"
@@ -199,6 +203,8 @@ struct ReplayResult {
   std::uint64_t events_executed = 0;
   std::uint64_t uids_sent = 0;
   net::NetworkStats stats;
+  /// Every capture, node by node: (local time ns, capture_to_wire bytes).
+  std::vector<std::pair<std::int64_t, Bytes>> captures;
 };
 
 /// A seeded mesh scenario exercising flood fan-out, unicast chains, filter
@@ -206,7 +212,9 @@ struct ReplayResult {
 /// (when, seq) execution order.  Must produce a bit-identical trace on
 /// every invocation (the platform property §IV-A depends on; parallel
 /// execution promises bit-identical results on top of it).
-ReplayResult run_replay_scenario() {
+/// `rewrite_at_relay` adds a transmit-side filter at node 6, which only
+/// relays, that rewrites the first payload byte of everything it forwards.
+ReplayResult run_replay_scenario(bool rewrite_at_relay = false) {
   ReplayResult result;
   Scheduler scheduler;
   net::LinkModel lossy;
@@ -233,6 +241,13 @@ ReplayResult run_replay_scenario() {
         }
         return net::FilterVerdict::pass();
       });
+  if (rewrite_at_relay) {
+    network.add_filter({net::NodeId{6}, net::Direction::kTransmit},
+                       [](NodeId, net::Direction, Packet& packet) {
+                         if (!packet.payload.empty()) packet.payload[0] ^= 0xFF;
+                         return net::FilterVerdict::pass();
+                       });
+  }
 
   // Staggered multicast floods from three corners plus unicast cross
   // traffic, with some timers cancelled mid-flight.
@@ -268,7 +283,38 @@ ReplayResult run_replay_scenario() {
   scheduler.run();
   result.events_executed = scheduler.executed();
   result.stats = network.stats();
+  for (NodeId n = 0; n < network.node_count(); ++n) {
+    for (const net::CapturedPacket& captured : network.captures(n)) {
+      result.captures.emplace_back(captured.local_time.nanos(),
+                                   net::capture_to_wire(captured));
+    }
+  }
   return result;
+}
+
+/// SHA-256 over everything a replay observes: the delivery trace, the
+/// network counters, the executed-event count and every capture.
+std::string replay_digest(const ReplayResult& result) {
+  Sha256 hash;
+  for (const auto& [when, node, uid] : result.deliveries) {
+    hash.update_u64(static_cast<std::uint64_t>(when)).update_u32(node)
+        .update_u64(uid);
+  }
+  const net::NetworkStats& s = result.stats;
+  for (std::uint64_t counter :
+       {s.sent, s.delivered, s.forwarded, s.dropped_loss, s.dropped_interface,
+        s.dropped_filter, s.dropped_ttl, s.dropped_no_route,
+        s.dropped_no_handler, s.dropped_queue, s.dropped_link_down,
+        s.duplicated, s.bytes_sent}) {
+    hash.update_u64(counter);
+  }
+  hash.update_u64(result.events_executed);
+  for (const auto& [when, wire] : result.captures) {
+    hash.update_u64(static_cast<std::uint64_t>(when))
+        .update_u64(wire.size())
+        .update(wire.data(), wire.size());
+  }
+  return hash.finish_hex();
 }
 
 TEST(DeterminismReplay, IdenticalSeededRunsProduceIdenticalTraces) {
@@ -283,6 +329,20 @@ TEST(DeterminismReplay, IdenticalSeededRunsProduceIdenticalTraces) {
   EXPECT_EQ(a.stats.dropped_loss, b.stats.dropped_loss);
   EXPECT_EQ(a.stats.dropped_queue, b.stats.dropped_queue);
   EXPECT_EQ(a.stats.bytes_sent, b.stats.bytes_sent);
+}
+
+// The replay pinned across kernel rewrites: event order, RNG draw order,
+// counters and captured bytes must not move.  The rewriting variant pins
+// that a relay's content change reaches only the copies that relay sends
+// on, not its upstream's other branches.
+TEST(DeterminismReplay, TracePinned) {
+  const ReplayResult plain = run_replay_scenario();
+  const ReplayResult rewritten = run_replay_scenario(/*rewrite_at_relay=*/true);
+  EXPECT_GT(plain.captures.size(), 0u);
+  EXPECT_EQ(replay_digest(plain),
+            "9bb8514c3ca179cdbebc930f46397f792c8f6df1e7badd924401b2635a0abbd4");
+  EXPECT_EQ(replay_digest(rewritten),
+            "738c4cb7e9d0610d7e42d04453b20bf3f56f875b78b716bb228163277197468f");
 }
 
 TEST(DeterminismReplay, SameTimeEventsExecuteInScheduleOrder) {
@@ -360,6 +420,80 @@ TEST(PayloadBuffer, FloodSharesOnePayloadAcrossDuplicates) {
   // Duplicates in flight + captures alias one buffer instead of deep
   // copies: at least a handful of sharers must be observable at once.
   EXPECT_GT(max_sharers, 3);
+}
+
+// ---- flood fan-out ---------------------------------------------------------
+
+TEST(Network, FloodAllocatesPerRelayNotPerHop) {
+  // The kernel bench's BM_FloodGrid/8 world: lossless 8x8 grid, every node
+  // a bound group member, capture off.
+  Scheduler scheduler;
+  net::LinkModel lossless = net::LinkModel::ideal();
+  lossless.jitter_frac = 0.0;
+  net::Network network(scheduler, net::Topology::grid(8, 8, lossless),
+                       /*seed=*/7);
+  network.set_capture_enabled(false);
+  const Address group = Address::sd_multicast();
+  std::uint64_t delivered = 0;
+  for (NodeId n = 0; n < network.node_count(); ++n) {
+    network.join_group(n, group);
+    network.bind(n, net::kSdPort,
+                 [&delivered](NodeId, const Packet&) { ++delivered; });
+  }
+  auto flood = [&] {
+    Packet packet;
+    packet.dst = group;
+    packet.dst_port = net::kSdPort;
+    packet.payload.assign(512, 0x6B);
+    ASSERT_TRUE(network.send(0, std::move(packet)).ok());
+    scheduler.run();
+    network.reset_run_state();
+  };
+  flood();  // warm the timer arena, the heap and the dedup sets
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  flood();
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(delivered, 2 * network.node_count());
+  // Per node: its one fan-out record, its own packet's route and the copy
+  // handed to its handler.  A per-neighbour packet copy would add two
+  // allocations per hop, and a grid node has up to four neighbours.
+  EXPECT_LE(allocs, 3 * network.node_count());
+}
+
+TEST(Network, PendingHopsOutliveTheNetwork) {
+  // SimPlatform declares its scheduler before its network, so the network
+  // is destroyed first and the queued hops after it, with the scheduler.
+  // Destroying a hop must therefore not touch the network.
+  auto scheduler = std::make_unique<Scheduler>();
+  auto network = std::make_unique<net::Network>(
+      *scheduler, net::Topology::grid(4, 4, net::LinkModel::ideal()),
+      /*seed=*/5);
+  const Address group = Address::sd_multicast();
+  for (NodeId n = 0; n < network->node_count(); ++n) {
+    network->join_group(n, group);
+    network->bind(n, net::kSdPort, [](NodeId, const Packet&) {});
+  }
+  // A receive-side delay at node 1 leaves a delayed handoff queued too.
+  network->add_filter({NodeId{1}, net::Direction::kReceive},
+                      [](NodeId, net::Direction, Packet&) {
+                        return net::FilterVerdict::delayed(
+                            SimDuration::from_seconds(1));
+                      });
+  Packet flood;
+  flood.dst = group;
+  flood.dst_port = net::kSdPort;
+  flood.payload.assign(64, 0x21);
+  ASSERT_TRUE(network->send(0, std::move(flood)).ok());
+  Packet unicast;
+  unicast.dst = network->topology().node(15).address;
+  unicast.dst_port = net::kSdPort;
+  unicast.payload.assign(64, 0x22);
+  ASSERT_TRUE(network->send(0, std::move(unicast)).ok());
+  scheduler->run(8);  // relays have fanned out; their hops are queued
+  ASSERT_GT(scheduler->pending(), 0u);
+  network.reset();
+  scheduler.reset();
 }
 
 TEST(UidSet, InsertContainsClear) {
