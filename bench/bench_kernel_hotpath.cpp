@@ -1,8 +1,8 @@
 // Kernel hot-path microbenchmarks (google-benchmark).
 //
 // Covers the three paths every experiment run hammers millions of times:
-// scheduler schedule/cancel/run churn, unicast hop chains, multicast flood
-// fan-out, and event-bus publish.  The EE's own overhead must stay
+// scheduler schedule/cancel/run churn, unicast hop chains and multicast
+// flood fan-out.  The EE's own overhead must stay
 // negligible against measured SD behaviour (§VI ablation), so this binary
 // is the perf trajectory tracker for the kernel: it writes machine-readable
 // results to BENCH_kernel.json (override with --benchmark_out=...).
@@ -22,7 +22,6 @@
 #include "net/link_set.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/event_bus.hpp"
 #include "sim/scheduler.hpp"
 
 namespace excovery {
@@ -32,7 +31,6 @@ using net::Address;
 using net::NodeId;
 using net::Packet;
 using sim::SimDuration;
-using sim::SimTime;
 
 class AllocCounter {
  public:
@@ -276,32 +274,6 @@ void BM_FloodGridDegraded(benchmark::State& state) {
   run_floods(state, false, true);
 }
 BENCHMARK(BM_FloodGridDegraded)->Arg(8);
-
-// ---- event bus --------------------------------------------------------------
-
-/// Publish with `range(0)` distinctly-named subscribers plus one wildcard;
-/// only one named subscriber matches.  Linear string-scan dispatch degrades
-/// with subscriber count; indexed dispatch should not.
-void BM_BusPublish(benchmark::State& state) {
-  const int subscribers = static_cast<int>(state.range(0));
-  sim::EventBus bus;
-  std::uint64_t hits = 0;
-  for (int i = 0; i < subscribers; ++i) {
-    bus.subscribe("event_" + std::to_string(i),
-                  [&hits](const sim::BusEvent&) { ++hits; });
-  }
-  bus.subscribe("", [&hits](const sim::BusEvent&) { ++hits; });
-  sim::BusEvent event{SimTime::zero(), "node0", "event_0", Value{}};
-  bus.publish(event);
-  AllocCounter allocs;
-  for (auto _ : state) {
-    bus.publish(event);
-  }
-  benchmark::DoNotOptimize(hits);
-  report_allocs(state, allocs);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BusPublish)->Arg(1)->Arg(100);
 
 }  // namespace
 }  // namespace excovery

@@ -1,5 +1,5 @@
-// Fixed-size worker pool used to run independent experiment replications in
-// parallel (see DESIGN.md §6).  Tasks communicate only through their return
+// Fixed-size worker pool on which ExperimentService runs whole experiments
+// side by side (DESIGN.md §14).  Tasks communicate only through their return
 // futures — no shared mutable state — so results are identical regardless of
 // worker count.
 #pragma once

@@ -41,7 +41,7 @@ ProcessInterpreter::ProcessInterpreter(
 
 ProcessInterpreter::~ProcessInterpreter() {
   if (wait_) {
-    platform_.recorder().bus().unsubscribe(wait_->subscription);
+    platform_.recorder().unwatch(wait_->watch);
     platform_.scheduler().cancel(wait_->timeout_timer);
   }
   generation_.bump();  // cancels the handle-less timers
@@ -205,7 +205,7 @@ Status ProcessInterpreter::begin_wait(std::unique_ptr<WaitState> wait) {
   wait_ = std::move(wait);
 
   // Scan history for matches that already happened (>= consider_from).
-  for (const sim::BusEvent& event : platform_.recorder().history()) {
+  for (const RunEvent& event : platform_.recorder().history()) {
     if (event.time < wait_->consider_from) continue;
     if (event_matches(event, *wait_)) {
       finish_wait();
@@ -213,9 +213,9 @@ Status ProcessInterpreter::begin_wait(std::unique_ptr<WaitState> wait) {
     }
   }
 
-  // Subscribe for live events.
-  wait_->subscription = platform_.recorder().bus().subscribe(
-      wait_->event_name, [this](const sim::BusEvent& event) {
+  // Watch for live events.
+  wait_->watch = platform_.recorder().watch(
+      wait_->event_name, [this](const RunEvent& event) {
         if (state_ != State::kWaiting || !wait_) return;
         if (event.time < wait_->consider_from) return;
         if (event_matches(event, *wait_)) finish_wait();
@@ -227,7 +227,7 @@ Status ProcessInterpreter::begin_wait(std::unique_ptr<WaitState> wait) {
           if (state_ != State::kWaiting || !wait_) return;
           if (wait_->fail_on_timeout) {
             std::string event_name = wait_->event_name;
-            platform_.recorder().bus().unsubscribe(wait_->subscription);
+            platform_.recorder().unwatch(wait_->watch);
             wait_.reset();
             complete(err_timeout("completion event '" + event_name +
                                  "' never arrived"));
@@ -245,7 +245,7 @@ Status ProcessInterpreter::begin_wait(std::unique_ptr<WaitState> wait) {
   return {};
 }
 
-bool ProcessInterpreter::event_matches(const sim::BusEvent& event,
+bool ProcessInterpreter::event_matches(const RunEvent& event,
                                        WaitState& wait) {
   if (event.name != wait.event_name) return false;
   std::string from_key;
@@ -270,7 +270,7 @@ bool ProcessInterpreter::event_matches(const sim::BusEvent& event,
 }
 
 void ProcessInterpreter::finish_wait() {
-  platform_.recorder().bus().unsubscribe(wait_->subscription);
+  platform_.recorder().unwatch(wait_->watch);
   platform_.scheduler().cancel(wait_->timeout_timer);
   wait_.reset();
   state_ = State::kRunning;

@@ -89,7 +89,7 @@ class ProcessInterpreter {
     std::set<std::pair<std::string, std::string>> satisfied;
     std::size_t needed = 1;
     sim::SimTime consider_from;
-    sim::SubscriptionHandle subscription;
+    std::uint64_t watch = 0;  ///< recorder watch id (0 = none)
     sim::TimerHandle timeout_timer;
     std::optional<double> timeout_s;
     /// Implicit completion waits fail the process on timeout; explicit
@@ -118,7 +118,7 @@ class ProcessInterpreter {
   /// arrays of concrete names).
   Result<ValueMap> resolve_params(const ProcessAction& action) const;
 
-  bool event_matches(const sim::BusEvent& event, WaitState& wait);
+  bool event_matches(const RunEvent& event, WaitState& wait);
   void finish_wait();
 
   SimPlatform& platform_;
@@ -138,9 +138,9 @@ class ProcessInterpreter {
   std::unique_ptr<WaitState> wait_;
   int timeouts_ = 0;
   /// Invalidates handle-less timers (start deferral, wait_for_time) on
-  /// destruction — an aborted attempt leaves them in the scheduler, and
-  /// they must not touch the destroyed interpreter when the retry's
-  /// scheduler drains them.
+  /// destruction — the run loop can stop with them still queued, and until
+  /// the next attempt starts from an empty queue they must not touch the
+  /// destroyed interpreter.
   sim::GenerationGate generation_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <optional>
 #include <thread>
 
@@ -29,6 +30,11 @@ ExperiMaster::ExperiMaster(const ExperimentDescription& description,
     : description_(description),
       platform_(platform),
       options_(std::move(options)) {
+  if (options_.flight_dir.empty()) {
+    if (const char* env = std::getenv("EXCOVERY_FLIGHT_DIR")) {
+      options_.flight_dir = env;
+    }
+  }
   Result<TreatmentPlan> plan = TreatmentPlan::generate(description);
   // Plan generation fails only on malformed actor maps, which validate()
   // catches earlier; keep an empty plan on error and surface it in
@@ -36,23 +42,13 @@ ExperiMaster::ExperiMaster(const ExperimentDescription& description,
   if (plan.ok()) {
     plan_ = std::make_unique<TreatmentPlan>(std::move(plan).value());
   }
-  executor_ = std::make_unique<RunExecutor>(description_, platform_,
-                                            executor_options());
+  executor_ =
+      std::make_unique<RunExecutor>(description_, platform_, options_);
   if (options_.obs != nullptr) {
     obs_shard_ =
         std::make_unique<obs::MetricsShard>(options_.obs->make_shard());
     executor_->attach_obs(*options_.obs, *obs_shard_);
   }
-}
-
-RunExecutorOptions ExperiMaster::executor_options() const {
-  RunExecutorOptions options;
-  options.max_attempts_per_run = options_.max_attempts_per_run;
-  options.run_watchdog = options_.run_watchdog;
-  options.settle = options_.settle;
-  options.abort_hook = options_.abort_hook;
-  options.flight_dir = options_.flight_dir;
-  return options;
 }
 
 Result<storage::ExperimentPackage> ExperiMaster::execute() {
@@ -252,8 +248,8 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
           continue;
         }
         replica = std::move(r).value();
-        executor = std::make_unique<RunExecutor>(description_, *replica,
-                                                 executor_options());
+        executor =
+            std::make_unique<RunExecutor>(description_, *replica, options_);
         if (options_.obs != nullptr) {
           shard = std::make_unique<obs::MetricsShard>(
               options_.obs->make_shard());

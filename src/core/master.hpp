@@ -51,9 +51,9 @@ struct MasterOptions {
   std::string comment;
   /// Directory for post-mortem flight-recorder dumps: every failed run
   /// attempt writes the lineage ring there as a readable artifact
-  /// (DESIGN.md §16).  Empty falls back to EXCOVERY_FLIGHT_DIR; unset means
-  /// no dumps.  Dump files are diagnostics only — they never feed back into
-  /// the conditioned package.
+  /// (DESIGN.md §16).  Empty falls back to EXCOVERY_FLIGHT_DIR, read once
+  /// when the master is constructed; unset means no dumps.  Dump files are
+  /// diagnostics only — they never feed back into the conditioned package.
   std::string flight_dir;
 
   /// Worker threads executing runs on platform replicas: 1 = sequential on
@@ -101,8 +101,6 @@ class ExperiMaster {
   int aborted_attempts() const noexcept { return aborted_attempts_; }
 
  private:
-  RunExecutorOptions executor_options() const;
-
   /// Retry loop around RunExecutor::execute_run for one run.  On abort the
   /// attempt's partial data is discarded from `platform`'s store.  Adds the
   /// number of aborted attempts to `aborted`.

@@ -30,6 +30,24 @@ Result<std::int64_t> param_int(const ValueMap& params, const std::string& key,
   return it->second.to_int();
 }
 
+/// The service instance an sd_start_publish / sd_update_publication call
+/// describes; the instance name defaults to the node's.
+Result<sd::ServiceInstance> instance_from(const ValueMap& params,
+                                          const std::string& node) {
+  sd::ServiceInstance instance;
+  instance.instance_name = param_text(params, "instance", node);
+  instance.type = param_text(params, "type", "_expservice._udp");
+  EXC_ASSIGN_OR_RETURN(std::int64_t port, param_int(params, "port", 8080));
+  instance.port = static_cast<net::Port>(port);
+  if (auto it = params.find("attributes");
+      it != params.end() && it->second.is_map()) {
+    for (const auto& [key, value] : it->second.as_map()) {
+      instance.attributes[key] = value.to_text();
+    }
+  }
+  return instance;
+}
+
 /// The call's single struct parameter, by reference; an empty struct when
 /// the call has no parameters.
 Result<const ValueMap*> unwrap(const ValueArray& rpc_params) {
@@ -220,17 +238,8 @@ Result<Value> NodeManager::dispatch_sd(const std::string& method,
     return Value{true};
   }
   if (method == "sd_start_publish") {
-    sd::ServiceInstance instance;
-    instance.instance_name = param_text(params, "instance", name_);
-    instance.type = param_text(params, "type", "_expservice._udp");
-    EXC_ASSIGN_OR_RETURN(std::int64_t port, param_int(params, "port", 8080));
-    instance.port = static_cast<net::Port>(port);
-    if (auto it = params.find("attributes");
-        it != params.end() && it->second.is_map()) {
-      for (const auto& [key, value] : it->second.as_map()) {
-        instance.attributes[key] = value.to_text();
-      }
-    }
+    EXC_ASSIGN_OR_RETURN(sd::ServiceInstance instance,
+                         instance_from(params, name_));
     EXC_TRY(agent_->start_publish(instance));
     sd_state_.publishes[instance.instance_name] = params;
     return Value{true};
@@ -242,17 +251,8 @@ Result<Value> NodeManager::dispatch_sd(const std::string& method,
     return Value{true};
   }
   if (method == "sd_update_publication") {
-    sd::ServiceInstance instance;
-    instance.instance_name = param_text(params, "instance", name_);
-    instance.type = param_text(params, "type", "_expservice._udp");
-    EXC_ASSIGN_OR_RETURN(std::int64_t port, param_int(params, "port", 8080));
-    instance.port = static_cast<net::Port>(port);
-    if (auto it = params.find("attributes");
-        it != params.end() && it->second.is_map()) {
-      for (const auto& [key, value] : it->second.as_map()) {
-        instance.attributes[key] = value.to_text();
-      }
-    }
+    EXC_ASSIGN_OR_RETURN(sd::ServiceInstance instance,
+                         instance_from(params, name_));
     EXC_TRY(agent_->update_publication(instance));
     // Replay memory keeps the latest parameters per instance.
     sd_state_.publishes[instance.instance_name] = params;

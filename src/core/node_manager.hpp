@@ -10,7 +10,7 @@
 //
 // Exposed RPC methods (all parameters travel as one XML-RPC struct):
 //   management:  experiment_init, experiment_exit, run_init, run_exit,
-//                clock_read, event_flag, plugin_measure
+//                clock_read, event_flag (registered plugins run at run_exit)
 //   SD process:  sd_init, sd_exit, sd_start_search, sd_stop_search,
 //                sd_start_publish, sd_stop_publish, sd_update_publication
 //   faults:      fault_interface_start/stop, fault_message_loss_start/stop,

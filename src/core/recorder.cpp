@@ -1,5 +1,7 @@
 #include "core/recorder.hpp"
 
+#include <algorithm>
+
 namespace excovery::core {
 
 EventRecorder::EventRecorder(sim::Scheduler& scheduler,
@@ -37,16 +39,12 @@ void EventRecorder::record(const std::string& node, std::string_view type,
   }
   cached_node_->record_event(std::move(raw));
 
-  // (2)+(3) reference-time publication for flow control.
-  sim::BusEvent event;
-  event.time = scheduler_.now();
-  event.node = node;
-  event.name = std::string(type);
-  event.parameter = parameter;
-  history_.push_back(event);
+  // (2) reference-time history for flow control.
+  const RunEvent& event = history_.emplace_back(
+      RunEvent{scheduler_.now(), node, std::string(type), parameter});
 
-  // (4) lineage: the event is a causal node (parent = whatever activity
-  // raised it), and every bus subscriber — flow-control waits resuming the
+  // (3) lineage: the event is a causal node (parent = whatever activity
+  // raised it), and every watch — flow-control waits resuming the
   // interpreter included — runs as its descendant.
   std::uint64_t lin_event = 0;
   if (lineage_) {
@@ -58,7 +56,42 @@ void EventRecorder::record(const std::string& node, std::string_view type,
                          lineage_->intern(type));
   }
   sim::LineageScope lin_scope(scheduler_, lin_event);
-  bus_.publish(event);
+  offer(event);
+}
+
+std::uint64_t EventRecorder::watch(std::string name, WatchFn fn) {
+  const std::uint64_t id = next_watch_id_++;
+  watches_.push_back(Watch{id, std::move(name), std::move(fn)});
+  return id;
+}
+
+void EventRecorder::unwatch(std::uint64_t id) {
+  auto it = std::find_if(watches_.begin(), watches_.end(),
+                         [id](const Watch& w) { return w.id == id; });
+  if (it == watches_.end()) return;
+  if (offer_depth_ > 0) {
+    it->removed = true;
+    has_removed_ = true;
+  } else {
+    watches_.erase(it);
+  }
+}
+
+void EventRecorder::offer(const RunEvent& event) {
+  ++offer_depth_;
+  // Watches appended during this offer wait for the next event; entries
+  // never move while an offer runs, so each is re-indexed per call.
+  const std::size_t count = watches_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    Watch& w = watches_[i];
+    if (w.removed || w.name != event.name) continue;
+    ++watch_calls_;
+    w.fn(event);
+  }
+  if (--offer_depth_ == 0 && has_removed_) {
+    std::erase_if(watches_, [](const Watch& w) { return w.removed; });
+    has_removed_ = false;
+  }
 }
 
 }  // namespace excovery::core

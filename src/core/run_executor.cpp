@@ -1,28 +1,20 @@
 #include "core/run_executor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "core/master.hpp"
 #include "obs/recorder.hpp"
 
 namespace excovery::core {
 
 RunExecutor::RunExecutor(const ExperimentDescription& description,
-                         SimPlatform& platform, RunExecutorOptions options)
-    : description_(description),
-      platform_(platform),
-      options_(std::move(options)) {
-  if (options_.flight_dir.empty()) {
-    if (const char* env = std::getenv("EXCOVERY_FLIGHT_DIR")) {
-      options_.flight_dir = env;
-    }
-  }
-}
+                         SimPlatform& platform, const MasterOptions& options)
+    : description_(description), platform_(platform), options_(options) {}
 
 sim::SimTime RunExecutor::run_epoch(std::int64_t run_id) const noexcept {
   // Worst case per attempt: the full watchdog plus the settle drain; one
@@ -37,16 +29,12 @@ sim::SimTime RunExecutor::run_epoch(std::int64_t run_id) const noexcept {
 }
 
 Status RunExecutor::execute_run(const RunSpec& run, int attempt) {
-  // Fast-forward to the run's canonical epoch (a no-op when the clock is
-  // already past it, e.g. on retries).  Leftover timers from earlier runs
-  // on this instance fire as gated no-ops during the jump; only then are
-  // the per-run random substreams rebased, so the streams the run consumes
-  // are untouched by the drain.
-  platform_.scheduler().run_until(run_epoch(run.run_id));
+  // Start from an empty queue at the run's canonical epoch (a retry keeps
+  // its later clock): whatever an earlier run or an aborted attempt left
+  // queued is dropped unrun, so nothing of it reaches this attempt.
+  platform_.scheduler().restart_at(run_epoch(run.run_id));
   platform_.begin_run(run.run_id, attempt);
 
-  // Kernel counters are sampled after the epoch drain so the recorded
-  // deltas cover exactly this attempt, not leftovers from the jump.
   KernelSample before;
   std::int64_t sim_start_ns = 0;
   std::int64_t wall_start_ns = 0;
@@ -117,8 +105,8 @@ RunExecutor::KernelSample RunExecutor::sample_kernel() const {
   KernelSample sample;
   sample.executed = platform_.scheduler().executed();
   sample.cancelled = platform_.scheduler().cancelled();
-  sample.published = platform_.recorder().bus().published();
-  sample.dispatched = platform_.recorder().bus().dispatched();
+  sample.published = platform_.recorder().recorded();
+  sample.dispatched = platform_.recorder().watch_calls();
   sample.activations = platform_.injector().activations();
   sample.kind_stats = platform_.injector().kind_stats();
   return sample;
@@ -196,9 +184,9 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
   add(ids.fault_packets_reordered, fault_delta.packets_reordered);
   shard.observe(ids.run_sim_seconds, sim_seconds);
 
-  // Best-effort/wall domain: executed counts include gated-timer husks that
-  // drain on shared instances but not on fresh replicas, and gauges depend
-  // on instance history — honest, but excluded from the determinism set.
+  // Best-effort/wall domain: the gauges depend on instance history.  The
+  // scheduler counters stay here too: moving them into the deterministic
+  // set would change its pinned rendering.
   add(ids.sched_events_executed, after.executed - before.executed);
   add(ids.sched_timers_cancelled, after.cancelled - before.cancelled);
   shard.set_gauge(ids.sched_max_pending,
@@ -504,15 +492,6 @@ Status RunExecutor::env_action(const std::string& method, ValueMap params) {
     if (!env_partition_) return err_state("partition not active");
     env_partition_->stop();
     env_partition_.reset();
-    return {};
-  }
-  if (method == "event_flag") {
-    // Environment-scope event flags arrive here when raised through the
-    // dispatcher (interpreter flow control already handles the common case).
-    auto it = params.find("value");
-    if (it == params.end()) return err_invalid("event_flag needs a value");
-    platform_.recorder().record(kEnvironmentNode,
-                                strings::strip_quotes(it->second.to_text()));
     return {};
   }
   // Node-targeted fault actions prefixed env_ run on every node: not in the

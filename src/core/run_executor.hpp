@@ -3,10 +3,11 @@
 //
 // One RunExecutor drives runs on one platform instance — the master's own
 // platform in sequential mode, a worker-owned replica in parallel mode.
-// Every run starts from the same defined initial condition (§IV-C1):
-//   * the scheduler is fast-forwarded to the run's canonical epoch, a
-//     simulated-time slot derived from the run id alone, so timestamps do
-//     not depend on which runs executed before on this instance;
+// Every attempt starts from the same defined initial condition (§IV-C1):
+//   * the scheduler restarts from an empty queue at the run's canonical
+//     epoch, a simulated-time slot derived from the run id alone, so
+//     timestamps do not depend on which runs executed before on this
+//     instance, and no callback of an earlier run or attempt survives;
 //   * every order-dependent random stream is rebased on the per-run
 //     substream (SimPlatform::begin_run);
 //   * leftover packets/faults/traffic are cleared (reset_run_state).
@@ -15,7 +16,6 @@
 // deterministic level-2 merge relies on.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 
@@ -27,39 +27,23 @@
 
 namespace excovery::core {
 
-struct RunExecutorOptions {
-  /// Attempts per run before the experiment gives up; also sizes the
-  /// per-run epoch stride so retries never overrun the next run's slot.
-  int max_attempts_per_run = 3;
-  /// Simulated-time watchdog per run; a run whose processes have not all
-  /// completed by then is aborted (and resumed/retried).
-  sim::SimDuration run_watchdog = sim::SimDuration::from_seconds(300);
-  /// Extra simulated settle time after the last process finishes, letting
-  /// in-flight packets drain before clean-up.
-  sim::SimDuration settle = sim::SimDuration::from_millis(200);
-  /// Test hook: force the given (run_id, attempt) to abort mid-run.  May be
-  /// invoked from worker threads in parallel mode.
-  std::function<bool(std::int64_t run_id, int attempt)> abort_hook;
-  /// Directory for post-mortem flight-recorder dumps (DESIGN.md §16): every
-  /// failed attempt writes its lineage ring there as a readable artifact.
-  /// Empty falls back to the EXCOVERY_FLIGHT_DIR environment variable; if
-  /// that is unset too, no dumps are written.
-  std::string flight_dir;
-};
+struct MasterOptions;
 
 class RunExecutor : public ActionDispatcher {
  public:
+  /// `options` (the master's) must outlive the executor.
   RunExecutor(const ExperimentDescription& description, SimPlatform& platform,
-              RunExecutorOptions options);
+              const MasterOptions& options);
 
   /// Canonical simulated-time start of a run: every run gets its own slot,
   /// wide enough for max_attempts_per_run worst-case attempts, so a run's
   /// timestamps are identical no matter which instance executes it.
   sim::SimTime run_epoch(std::int64_t run_id) const noexcept;
 
-  /// Execute one run: fast-forward to its epoch, rebase the per-run RNG
-  /// substreams, then run preparation / execution / clean-up.  Marks the
-  /// run complete in the platform's level-2 store on success.
+  /// Execute one attempt of a run: restart the scheduler at the run's
+  /// epoch, rebase the per-run RNG substreams, then run preparation /
+  /// execution / clean-up.  Marks the run complete in the platform's
+  /// level-2 store on success.
   Status execute_run(const RunSpec& run, int attempt = 1);
 
   /// Attach observability: per-attempt kernel/network/fault deltas are
@@ -83,9 +67,8 @@ class RunExecutor : public ActionDispatcher {
   Status run_processes(const RunSpec& run, int attempt);
   Status cleanup_run(const RunSpec& run);
 
-  /// Snapshot of the monotonic kernel counters, taken right after the
-  /// fast-forward to the run epoch so the recorded deltas cover exactly one
-  /// attempt (epoch drains of leftover gated timers are excluded).
+  /// Snapshot of the monotonic kernel counters, taken at the start of an
+  /// attempt so the recorded deltas cover exactly that attempt.
   struct KernelSample {
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
@@ -105,7 +88,7 @@ class RunExecutor : public ActionDispatcher {
 
   const ExperimentDescription& description_;
   SimPlatform& platform_;
-  RunExecutorOptions options_;
+  const MasterOptions& options_;
   const RunSpec* current_run_ = nullptr;
   faults::FaultHandle env_drop_all_;
   faults::FaultHandle env_partition_;

@@ -16,8 +16,7 @@ namespace {
 
 /// Shared state of one alternating up/down process.  Scheduled callbacks
 /// hold the state by shared_ptr and check `running` first, so timers left
-/// behind by a stopped process drain as no-ops (nothing observable leaks
-/// into later runs).
+/// behind by a process stopped mid-run fire as no-ops.
 struct FlapState {
   bool running = false;
   bool down = false;
@@ -85,7 +84,7 @@ Result<FaultHandle> FaultScheduleEngine::node_churn(
   // hold the function object weakly — the only strong reference is the
   // activation closure the injector keeps while the fault is registered,
   // so removing the fault releases the loop instead of cycling on itself;
-  // timers that outlive it drain as no-ops.
+  // timers that outlive it fire as no-ops.
   auto step = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> weak_step = step;
   auto fire = [weak_step] {

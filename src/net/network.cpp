@@ -14,7 +14,6 @@ namespace excovery::net {
 struct Network::FloodFanout {
   Packet packet;
   std::uint32_t refs = 0;
-  std::uint64_t generation = 0;  ///< run generation at fan-out
 };
 
 /// 8 bytes with a noexcept move, so a flood hop closure {this, from, to,
@@ -139,9 +138,7 @@ Result<std::uint64_t> Network::send(NodeId from, Packet packet) {
   }
 
   std::uint64_t uid = packet.uid;
-  auto launch = [this, from, generation = run_generation_,
-                 packet = std::move(packet)]() mutable {
-    if (generation != run_generation_) return;  // an earlier run's send
+  auto launch = [this, from, packet = std::move(packet)]() mutable {
     if (packet.dst.is_multicast() || packet.dst.is_broadcast()) {
       // The sender is also a member of groups it joined (loopback delivery,
       // as real multicast sockets do with IP_MULTICAST_LOOP).
@@ -173,9 +170,7 @@ void Network::launch_duplicates(NodeId from, const Packet& packet, int copies,
   for (int i = 1; i <= copies; ++i) {
     sim::SimDuration at = initial_delay;
     for (int g = 0; g < i; ++g) at += gap;
-    scheduler_.schedule(at, [this, from, generation = run_generation_,
-                             copy = packet]() mutable {
-      if (generation != run_generation_) return;  // an earlier run's copy
+    scheduler_.schedule(at, [this, from, copy = packet]() mutable {
       NodeState& sender = nodes_[from];
       copy.uid = next_uid_++;
       copy.tag = sender.next_tag++;
@@ -374,11 +369,6 @@ void Network::begin_run(std::uint64_t run_seed) {
     state.next_tag = 1;
     state.seen_uids.clear();
   }
-  // Whatever the data plane still has queued belongs to an earlier run or
-  // an aborted attempt (a retry starts without draining them, §10): from
-  // here on it fires without effect, so it can neither deliver, capture,
-  // draw randomness nor fill a dedup set with a uid this run reuses.
-  ++run_generation_;
 }
 
 Status Network::set_link_model(NodeId a, NodeId b, const LinkModel& model) {
@@ -541,9 +531,7 @@ void Network::deliver_local(NodeId node, Packet packet) {
                      node, node, rx.drop_cause);
     return;
   }
-  auto handoff = [this, node, generation = run_generation_,
-                  packet = std::move(packet)]() mutable {
-    if (generation != run_generation_) return;  // an earlier run's packet
+  auto handoff = [this, node, packet = std::move(packet)]() mutable {
     NodeState& s = nodes_[node];
     capture(node, Direction::kReceive, packet);
     auto it = s.handlers.find(packet.dst_port);
@@ -624,9 +612,7 @@ void Network::forward_unicast(NodeId current, Packet packet) {
       current, next, find_link(current, next), packet.uid, packet.wire_size());
   if (!delay) return;
   scheduler_.schedule(*delay, [this, from = current, to = next,
-                               generation = run_generation_,
                                packet = std::move(packet)]() mutable {
-    if (generation != run_generation_) return;  // an earlier run's hop
     unicast_arrival(from, to, std::move(packet));
   });
 }
@@ -672,7 +658,7 @@ void Network::flood(NodeId origin_hop, Packet packet) {
         admit_hop(origin_hop, to, adj_model_[i], uid, bytes);
     if (!delay) continue;
     if (fanout == nullptr) {
-      fanout = new FloodFanout{std::move(packet), 0, run_generation_};
+      fanout = new FloodFanout{std::move(packet), 0};
     }
     auto hop = [this, from = origin_hop, to, ref = FanoutRef(fanout)] {
       flood_arrival(from, to, *ref);
@@ -683,7 +669,6 @@ void Network::flood(NodeId origin_hop, Packet packet) {
 }
 
 void Network::flood_arrival(NodeId from, NodeId to, FloodFanout& fanout) {
-  if (fanout.generation != run_generation_) return;  // an earlier run's hop
   NodeState& state = nodes_[to];
   const std::uint64_t uid = fanout.packet.uid;
   // The ambient context is the upstream send/hop captured when this

@@ -231,8 +231,9 @@ class Network {
   /// network randomness a function of the seed alone rather than of the
   /// draw counts of whatever ran before on this platform instance — the
   /// prerequisite for executing runs out of order or on worker replicas.
-  /// Also starts a new run generation: every hop, delayed launch and
-  /// delayed handoff scheduled before this call becomes inert.
+  /// Packet ids and dedup sets restart with the streams, so a run must
+  /// begin on an empty scheduler queue (Scheduler::restart_at): a hop still
+  /// queued from before would carry an id the new run reuses.
   void begin_run(std::uint64_t run_seed);
 
   /// Degrade or restore a specific link at runtime (used by environment
@@ -388,9 +389,6 @@ class Network {
   sim::SimDuration queue_limit_ = sim::SimDuration::from_millis(250);
   bool capture_ = true;
   std::uint64_t next_uid_ = 1;
-  /// Bumped by begin_run; a scheduled closure carrying an older value
-  /// belongs to an earlier run (or aborted attempt) and does nothing.
-  std::uint64_t run_generation_ = 0;
   std::uint64_t next_filter_id_ = 1;
   Pcg32 loss_rng_;
   Pcg32 jitter_rng_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "common/log.hpp"
@@ -177,34 +176,39 @@ void ObsContext::report_progress(std::size_t completed, std::size_t total,
                  static_cast<double>(completed));
 }
 
-std::string ObsContext::format_deterministic_metrics() const {
+std::vector<ObsContext::MetricValue> ObsContext::merged_metrics() const {
   MetricsShard merged(&registry_);
   {
     std::lock_guard lock(merge_mutex_);
     merged.merge_from(merged_);
   }
-  const std::vector<MetricDesc> descs = registry_.descriptors();
-
-  std::string out;
+  std::vector<MetricDesc> descs = registry_.descriptors();
+  std::vector<MetricValue> values;
+  values.reserve(descs.size());
   for (std::size_t i = 0; i < descs.size(); ++i) {
-    const MetricDesc& desc = descs[i];
+    const MetricCell* cell =
+        merged.cell(MetricId{static_cast<std::uint32_t>(i)});
+    values.push_back({std::move(descs[i]), cell ? *cell : MetricCell{}});
+  }
+  return values;
+}
+
+std::string ObsContext::format_deterministic_metrics() const {
+  std::string out;
+  for (const auto& [desc, cell] : merged_metrics()) {
     if (desc.domain != MetricDomain::kDeterministic) continue;
-    const MetricCell* cell = merged.cell(MetricId{
-        static_cast<std::uint32_t>(i)});
-    static const MetricCell kZero{};
-    if (!cell) cell = &kZero;
     out += desc.name;
     switch (desc.kind) {
       case MetricKind::kCounter:
         out += '=';
-        append_u64(out, cell->count);
+        append_u64(out, cell.count);
         break;
       case MetricKind::kGauge:
         out += '=';
-        if (cell->gauge_set) {
+        if (cell.gauge_set) {
           char buf[32];
           std::snprintf(buf, sizeof buf, "%lld",
-                        static_cast<long long>(cell->gauge_last));
+                        static_cast<long long>(cell.gauge_last));
           out += buf;
         } else {
           out += "unset";
@@ -212,26 +216,26 @@ std::string ObsContext::format_deterministic_metrics() const {
         break;
       case MetricKind::kHistogram:
         out += " count=";
-        append_u64(out, cell->count);
+        append_u64(out, cell.count);
         out += " nan=";
-        append_u64(out, cell->nan_count);
-        if (cell->count > 0) {
+        append_u64(out, cell.nan_count);
+        if (cell.count > 0) {
           out += " sum=";
-          append_double(out, cell->sum);
+          append_double(out, cell.sum);
           out += " min=";
-          append_double(out, cell->min);
+          append_double(out, cell.min);
           out += " max=";
-          append_double(out, cell->max);
+          append_double(out, cell.max);
         }
         out += " bins=";
         bool first = true;
-        for (std::size_t b = 0; b < cell->bins.size(); ++b) {
-          if (cell->bins[b] == 0) continue;
+        for (std::size_t b = 0; b < cell.bins.size(); ++b) {
+          if (cell.bins[b] == 0) continue;
           if (!first) out += ',';
           first = false;
           append_u64(out, b);
           out += ':';
-          append_u64(out, cell->bins[b]);
+          append_u64(out, cell.bins[b]);
         }
         break;
     }
@@ -254,21 +258,13 @@ std::string ObsContext::format_deterministic_metrics() const {
 }
 
 std::string ObsContext::metrics_json() const {
-  MetricsShard merged(&registry_);
-  {
-    std::lock_guard lock(merge_mutex_);
-    merged.merge_from(merged_);
-  }
-  const std::vector<MetricDesc> descs = registry_.descriptors();
+  const std::vector<MetricValue> metrics = merged_metrics();
   const std::vector<RunMetricsLedger::Entry> entries = ledger_.sorted();
 
   std::string out = "{\n\"metrics\":[";
-  for (std::size_t i = 0; i < descs.size(); ++i) {
-    const MetricDesc& desc = descs[i];
-    const MetricCell* cell =
-        merged.cell(MetricId{static_cast<std::uint32_t>(i)});
-    static const MetricCell kZero{};
-    if (!cell) cell = &kZero;
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const MetricDesc& desc = metrics[i].desc;
+    const MetricCell* cell = &metrics[i].cell;
     if (i != 0) out += ',';
     out += "\n{\"name\":\"";
     out += json_escape(desc.name);
@@ -393,45 +389,28 @@ std::string ObsContext::metrics_json() const {
 }
 
 Status ObsContext::write_metrics_json(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return err_io("cannot open metrics output file " + path);
-  const std::string json = metrics_json();
-  file.write(json.data(), static_cast<std::streamsize>(json.size()));
-  file.flush();
-  if (!file) return err_io("failed writing metrics output file " + path);
-  return Status::ok_status();
+  return write_text_file(path, metrics_json(), "metrics output file");
 }
 
 Status ObsContext::export_metrics(storage::ExperimentPackage& package) const {
-  MetricsShard merged(&registry_);
-  {
-    std::lock_guard lock(merge_mutex_);
-    merged.merge_from(merged_);
-  }
-  const std::vector<MetricDesc> descs = registry_.descriptors();
   // Experiment-wide deterministic values first, as RunID -1 rows.
-  for (std::size_t i = 0; i < descs.size(); ++i) {
-    const MetricDesc& desc = descs[i];
+  for (const auto& [desc, cell] : merged_metrics()) {
     if (desc.domain != MetricDomain::kDeterministic) continue;
-    const MetricCell* cell =
-        merged.cell(MetricId{static_cast<std::uint32_t>(i)});
-    static const MetricCell kZero{};
-    if (!cell) cell = &kZero;
     switch (desc.kind) {
       case MetricKind::kCounter:
         EXC_TRY(package.add_metric(-1, desc.name,
-                                   static_cast<double>(cell->count)));
+                                   static_cast<double>(cell.count)));
         break;
       case MetricKind::kGauge:
-        if (cell->gauge_set) {
+        if (cell.gauge_set) {
           EXC_TRY(package.add_metric(
-              -1, desc.name, static_cast<double>(cell->gauge_last)));
+              -1, desc.name, static_cast<double>(cell.gauge_last)));
         }
         break;
       case MetricKind::kHistogram:
         EXC_TRY(package.add_metric(-1, desc.name + ".count",
-                                   static_cast<double>(cell->count)));
-        EXC_TRY(package.add_metric(-1, desc.name + ".sum", cell->sum));
+                                   static_cast<double>(cell.count)));
+        EXC_TRY(package.add_metric(-1, desc.name + ".sum", cell.sum));
         break;
     }
   }
@@ -483,13 +462,7 @@ std::string ObsContext::provenance_json() const {
 }
 
 Status ObsContext::write_provenance_json(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return err_io("cannot open provenance output file " + path);
-  const std::string json = provenance_json();
-  file.write(json.data(), static_cast<std::streamsize>(json.size()));
-  file.flush();
-  if (!file) return err_io("failed writing provenance output file " + path);
-  return Status::ok_status();
+  return write_text_file(path, provenance_json(), "provenance output file");
 }
 
 Status ObsContext::export_provenance(

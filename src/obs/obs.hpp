@@ -47,8 +47,8 @@ struct MetricIds {
   MetricId runs_retries;          ///< aborted attempts that were retried
   MetricId runs_watchdog_aborts;  ///< attempts killed by the run watchdog
   MetricId runs_deadlock_aborts;  ///< attempts killed by deadlock detection
-  MetricId bus_published;         ///< EventBus events published inside runs
-  MetricId bus_dispatched;        ///< subscriber callbacks invoked
+  MetricId bus_published;         ///< events recorded inside runs
+  MetricId bus_dispatched;        ///< recorder watch calls inside runs
   MetricId net_sent;              ///< packets sent (first hop)
   MetricId net_delivered;         ///< packets handed to a receiver
   MetricId net_forwarded;         ///< multi-hop forwards
@@ -151,6 +151,15 @@ class ObsContext {
   Status export_provenance(storage::ExperimentPackage& package) const;
 
  private:
+  struct MetricValue {
+    MetricDesc desc;
+    MetricCell cell;
+  };
+  /// Every registered metric in registration order, read from a copy of
+  /// the merged shard taken under the lock.  The copy is itself a merge, so
+  /// a gauge reads its maximum; a metric never recorded reads as zero.
+  std::vector<MetricValue> merged_metrics() const;
+
   ObsConfig config_;
   MetricsRegistry registry_;
   MetricIds ids_;

@@ -1,10 +1,10 @@
 #include "obs/recorder.hpp"
 
 #include <filesystem>
-#include <fstream>
 
 #include "common/strings.hpp"
 #include "obs/provenance.hpp"
+#include "obs/trace.hpp"
 
 namespace excovery::obs {
 
@@ -51,12 +51,8 @@ Result<std::string> write_flight_dump(const sim::LineageLog& log,
                        static_cast<unsigned long long>(log.run_id()),
                        static_cast<unsigned>(log.attempt())))
           .string();
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return err_io("cannot open flight-recorder file " + path);
-  const std::string dump = render_flight_dump(log, reason);
-  file.write(dump.data(), static_cast<std::streamsize>(dump.size()));
-  file.flush();
-  if (!file) return err_io("failed writing flight-recorder file " + path);
+  EXC_TRY(write_text_file(path, render_flight_dump(log, reason),
+                          "flight-recorder file"));
   return path;
 }
 

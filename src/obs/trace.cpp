@@ -211,12 +211,18 @@ std::string TraceBuffer::to_json() const {
 }
 
 Status TraceBuffer::write_json(const std::string& path) const {
+  return write_text_file(path, to_json(), "trace output file");
+}
+
+Status write_text_file(const std::string& path, std::string_view text,
+                       std::string_view what) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return err_io("cannot open trace output file " + path);
-  std::string json = to_json();
-  file.write(json.data(), static_cast<std::streamsize>(json.size()));
+  if (!file) return err_io("cannot open " + std::string(what) + " " + path);
+  file.write(text.data(), static_cast<std::streamsize>(text.size()));
   file.flush();
-  if (!file) return err_io("failed writing trace output file " + path);
+  if (!file) {
+    return err_io("failed writing " + std::string(what) + " " + path);
+  }
   return Status::ok_status();
 }
 

@@ -199,4 +199,9 @@ class SimSpan {
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view text);
 
+/// Replace the file at `path` with `text`.  Errors read "cannot open <what>
+/// <path>" and "failed writing <what> <path>".
+Status write_text_file(const std::string& path, std::string_view text,
+                       std::string_view what);
+
 }  // namespace excovery::obs

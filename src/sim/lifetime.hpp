@@ -1,9 +1,11 @@
 // Lifetime guard for scheduled callbacks.
 //
-// Agents schedule timers that can outlive them: the NodeManager replaces
-// its SD agent between runs, and the scheduler has no way to know which
-// pending entries belonged to the old one.  The classic guard — capture a
-// generation number and compare it against a member on fire — is a
+// Agents schedule timers that can outlive them: sd_exit and a node crash
+// destroy the SD agent in the middle of a run, and the scheduler has no way
+// to know which pending entries belonged to it.  (Nothing queued in one
+// run fires in the next: every attempt starts from an empty queue.)  The
+// classic guard — capture a generation number and compare it against a
+// member on fire — is a
 // use-after-free when the owner is already destroyed, because the compare
 // itself dereferences the dead object.  GenerationGate moves the counter
 // into a shared heap cell that the callbacks co-own, so the staleness

@@ -105,6 +105,21 @@ std::size_t Scheduler::run_until(SimTime deadline) {
   return executed;
 }
 
+void Scheduler::restart_at(SimTime start) {
+  // Move the callbacks out first: a destructor may cancel or schedule, and
+  // must find the queue already empty.
+  std::vector<Callback> dropped;
+  dropped.reserve(live_count_);
+  for (std::uint32_t index = 0; index < slots_.size(); ++index) {
+    if (!slots_[index].armed) continue;
+    dropped.push_back(std::move(slots_[index].fn));
+    release_slot(index);
+  }
+  heap_.clear();
+  if (now_ < start) now_ = start;
+  dropped.clear();
+}
+
 void Scheduler::heap_push(const HeapEntry& entry) {
   heap_.push_back(entry);
   std::size_t i = heap_.size() - 1;

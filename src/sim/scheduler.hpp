@@ -174,6 +174,13 @@ class Scheduler {
   /// max(reached, deadline).  Returns events executed.
   std::size_t run_until(SimTime deadline);
 
+  /// Start over from an empty queue: every pending callback is dropped
+  /// without running (counted as neither executed nor cancelled) and the
+  /// clock moves to max(now, start).  Outstanding handles go stale.  A
+  /// dropped callback's destructor runs after the queue is empty, so
+  /// anything it schedules belongs to the new start.
+  void restart_at(SimTime start);
+
   /// Total events executed since construction (for overhead metrics).
   std::uint64_t executed() const noexcept { return executed_; }
 

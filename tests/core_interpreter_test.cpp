@@ -458,5 +458,157 @@ TEST(Interpreter, FactorRefResolvesInActionParams) {
   EXPECT_GE(outcome.time_of("N0", "done") - run_init, 2.0);
 }
 
+// ---- recorder watches ------------------------------------------------------
+
+/// A bare recorder on reference time, as the interpreter's waits see it.
+struct WatchRig {
+  sim::Scheduler scheduler;
+  storage::Level2Store level2;
+  EventRecorder recorder{scheduler, level2, nullptr};
+};
+
+TEST(RecorderWatch, DeliversToNameWatches) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  int hits = 0;
+  recorder.watch("boom", [&](const RunEvent&) { ++hits; });
+  recorder.record("n", "boom");
+  recorder.record("n", "other");
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(recorder.recorded(), 2u);
+  EXPECT_EQ(recorder.watch_calls(), 1u);
+}
+
+TEST(RecorderWatch, OfferedEventCarriesPayload) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  recorder.begin_run(1);
+  RunEvent seen;
+  recorder.watch("sd_service_add", [&](const RunEvent& e) { seen = e; });
+  rig.scheduler.run_until(sim::SimTime::from_seconds(1));
+  recorder.record("SU0", "sd_service_add", Value{"SM0"});
+  EXPECT_EQ(seen.node, "SU0");
+  EXPECT_EQ(seen.name, "sd_service_add");
+  EXPECT_EQ(seen.parameter.as_string(), "SM0");
+  EXPECT_EQ(seen.time, sim::SimTime::from_seconds(1));
+  // The offered entry is the history entry; level 2 holds it once too.
+  ASSERT_EQ(recorder.history().size(), 1u);
+  EXPECT_EQ(recorder.history().back().node, "SU0");
+  EXPECT_EQ(rig.level2.node("SU0").events().size(), 1u);
+}
+
+TEST(RecorderWatch, OffersExactNameMatchesInRegistrationOrder) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  std::vector<std::string> order;
+  for (int i = 0; i < 50; ++i) {
+    recorder.watch("x_" + std::to_string(i),
+                   [&](const RunEvent&) { order.push_back("other"); });
+  }
+  recorder.watch("x", [&](const RunEvent&) { order.push_back("first"); });
+  recorder.watch("y", [&](const RunEvent&) { order.push_back("y"); });
+  recorder.watch("x", [&](const RunEvent&) { order.push_back("second"); });
+  recorder.record("n", "x");
+  recorder.record("n", "unwatched");
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(recorder.recorded(), 2u);
+  EXPECT_EQ(recorder.watch_calls(), 2u);
+  ASSERT_EQ(recorder.history().size(), 2u);
+  EXPECT_EQ(recorder.history().back().name, "unwatched");
+}
+
+TEST(RecorderWatch, WatchAddedMidOfferSeesOnlyLaterEvents) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  int inner_hits = 0;
+  bool added = false;
+  recorder.watch("x", [&](const RunEvent&) {
+    if (added) return;
+    added = true;
+    recorder.watch("x", [&](const RunEvent&) { ++inner_hits; });
+  });
+  recorder.record("n", "x");
+  EXPECT_EQ(inner_hits, 0);
+  recorder.record("n", "x");
+  EXPECT_EQ(inner_hits, 1);
+}
+
+TEST(RecorderWatch, UnwatchStopsDelivery) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  int hits = 0;
+  const std::uint64_t id =
+      recorder.watch("x", [&](const RunEvent&) { ++hits; });
+  recorder.record("n", "x");
+  recorder.unwatch(id);
+  recorder.record("n", "x");
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(RecorderWatch, UnwatchDuringOfferIsSafe) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  int hits_a = 0;
+  int hits_b = 0;
+  std::uint64_t b_id = 0;
+  recorder.watch("x", [&](const RunEvent&) {
+    ++hits_a;
+    recorder.unwatch(b_id);
+  });
+  b_id = recorder.watch("x", [&](const RunEvent&) { ++hits_b; });
+  recorder.record("n", "x");
+  recorder.record("n", "x");
+  EXPECT_EQ(hits_a, 2);
+  EXPECT_EQ(hits_b, 0);  // removed before its first offer
+}
+
+TEST(RecorderWatch, RemovalDuringNestedRecordNeverFiresAgain) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  int victim_hits = 0;
+  int outer_rounds = 0;
+  std::uint64_t victim = 0;
+  // The first "x" watch records a nested "y" on its first round; the "y"
+  // watch removes the victim while the outer offer of "x" is mid-way.
+  recorder.watch("x", [&](const RunEvent& e) {
+    if (++outer_rounds == 1) recorder.record("n", "y");
+    EXPECT_EQ(e.name, "x");  // the nested append moved nothing
+  });
+  recorder.watch("y", [&](const RunEvent&) { recorder.unwatch(victim); });
+  victim = recorder.watch("x", [&](const RunEvent&) { ++victim_hits; });
+  recorder.record("n", "x");
+  EXPECT_EQ(victim_hits, 0);
+  recorder.record("n", "x");
+  EXPECT_EQ(victim_hits, 0);
+  EXPECT_EQ(recorder.history().size(), 3u);
+  EXPECT_EQ(recorder.watch_calls(), 3u);
+
+  // The victim was erased when the outermost offer returned, so removing
+  // it again is a no-op and the other watches keep their places.
+  recorder.unwatch(victim);
+  recorder.record("n", "x");
+  EXPECT_EQ(outer_rounds, 3);
+  EXPECT_EQ(victim_hits, 0);
+}
+
+TEST(RecorderWatch, UnwatchOutsideOfferTakesEffectImmediately) {
+  WatchRig rig;
+  EventRecorder& recorder = rig.recorder;
+  int hits = 0;
+  const std::uint64_t id =
+      recorder.watch("x", [&](const RunEvent&) { ++hits; });
+  EXPECT_NE(id, 0u);
+  recorder.unwatch(id);
+  recorder.unwatch(id);  // repeating it is a no-op
+  recorder.unwatch(0);   // so is the never-issued id 0
+  recorder.record("n", "x");
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(recorder.watch_calls(), 0u);
+  // A later watch still gets its events.
+  recorder.watch("x", [&](const RunEvent&) { ++hits; });
+  recorder.record("n", "x");
+  EXPECT_EQ(hits, 1);
+}
+
 }  // namespace
 }  // namespace excovery::core

@@ -286,7 +286,7 @@ TEST(NodeManagerRpc, SdActionsOverControlChannel) {
   ASSERT_TRUE(
       call(su, "event_flag", {{"value", Value{"custom_marker"}}}).ok());
   bool found = false;
-  for (const sim::BusEvent& event : platform.recorder().history()) {
+  for (const core::RunEvent& event : platform.recorder().history()) {
     if (event.name == "custom_marker" && event.node == "SU0") found = true;
   }
   EXPECT_TRUE(found);

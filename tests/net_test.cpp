@@ -335,11 +335,12 @@ TEST(Network, MulticastDuplicateSuppression) {
   for (const auto& [node, count] : deliveries) EXPECT_EQ(count, 1);
 }
 
-// An aborted attempt's hops can still be queued when the retry calls
-// begin_run.  The retry's first packet gets uid 1 again, so a stale first
-// arrival would be delivered and captured in the new run and would
-// suppress the new packet at that node.
-TEST(Network, StaleHopsAfterBeginRunAreInert) {
+// An aborted attempt leaves hops queued.  The retry's first packet gets
+// uid 1 again, so a stale first arrival would be delivered and captured in
+// the new run and would suppress the new packet at that node.  The run
+// executor's sequence — restart the scheduler from an empty queue, then
+// begin_run — leaves none of them.
+TEST(Network, RestartThenBeginRunLeavesNoStaleHops) {
   sim::Scheduler scheduler;
   Network network(scheduler, Topology::grid(6, 6), 1);
   const Address group = Address::sd_multicast();
@@ -356,8 +357,10 @@ TEST(Network, StaleHopsAfterBeginRunAreInert) {
   scheduler.run(20);  // partway through the flood
   ASSERT_GT(scheduler.pending(), 0u);
 
-  // What RunExecutor does for the next attempt: begin_run, then
+  // What RunExecutor does for the next attempt: restart, begin_run, then
   // prepare_run's reset_run_state.
+  scheduler.restart_at(scheduler.now());
+  EXPECT_TRUE(scheduler.idle());
   network.begin_run(2);
   network.reset_run_state();
   network.reset_stats();

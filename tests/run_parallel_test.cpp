@@ -235,6 +235,38 @@ TEST(RunParallel, RetriesPreserveBitIdentity) {
                       "flaky run_workers=3");
 }
 
+// Run isolation: every attempt starts from an empty event queue, so a
+// callback queued by one run never runs in a later run, and one queued by
+// an aborted attempt never runs in its retry.
+TEST(RunParallel, NoCallbackOutlivesItsAttempt) {
+  Result<TestRig> rig = make_setup(small_experiment(3));
+  ASSERT_TRUE(rig.ok()) << rig.error().to_string();
+  sim::Scheduler& scheduler = rig.value().platform->scheduler();
+  int sentinels_run = 0;
+  MasterOptions options;
+  options.run_workers = 1;
+  options.abort_hook = [&](std::int64_t run_id, int attempt) {
+    if (run_id == 1) {
+      // Due after run 1 completes, before run 2's epoch.
+      scheduler.schedule(sim::SimDuration::from_seconds(200),
+                         [&sentinels_run] { ++sentinels_run; });
+    } else if (run_id == 2 && attempt == 1) {
+      // Due while the retry of run 2 executes.
+      scheduler.schedule(sim::SimDuration::from_seconds(1),
+                         [&sentinels_run] { ++sentinels_run; });
+      return true;
+    }
+    return false;
+  };
+  ExperiMaster master(rig.value().description, *rig.value().platform,
+                      std::move(options));
+  Result<storage::ExperimentPackage> package = master.execute();
+  ASSERT_TRUE(package.ok()) << package.error().to_string();
+  EXPECT_EQ(master.aborted_attempts(), 1);
+  EXPECT_EQ(master.completed_runs().size(), 3u);
+  EXPECT_EQ(sentinels_run, 0);
+}
+
 // Satellite (c): a parallel execution that aborts mid-experiment, persists
 // its level-2 hierarchy, and resumes on a fresh platform yields a package
 // byte-for-byte equal to an uninterrupted sequential execution.

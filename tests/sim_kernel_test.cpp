@@ -1,7 +1,7 @@
 // Hot-path kernel overhaul tests: timer-arena edge cases, zero-allocation
 // steady state, copy-on-write payload semantics, flood fan-out allocations
-// and record lifetime, indexed event-bus dispatch, and a determinism replay
-// proof (and pin) over a seeded mesh scenario.
+// and record lifetime, and a determinism replay proof (and pin) over a
+// seeded mesh scenario.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "net/uid_set.hpp"
-#include "sim/event_bus.hpp"
 #include "sim/scheduler.hpp"
 
 // The replacement operator new/delete intentionally pair ::new with
@@ -508,69 +507,6 @@ TEST(UidSet, InsertContainsClear) {
   EXPECT_EQ(set.size(), 0u);
   EXPECT_FALSE(set.contains(1));
   EXPECT_TRUE(set.insert(1));
-}
-
-// ---- event bus regression --------------------------------------------------
-
-TEST(EventBusIndexed, NamedAndWildcardInterleaveBySubscriptionOrder) {
-  sim::EventBus bus;
-  std::vector<std::string> order;
-  bus.subscribe("", [&](const sim::BusEvent&) { order.push_back("W1"); });
-  bus.subscribe("x", [&](const sim::BusEvent&) { order.push_back("N1"); });
-  bus.subscribe("", [&](const sim::BusEvent&) { order.push_back("W2"); });
-  bus.subscribe("x", [&](const sim::BusEvent&) { order.push_back("N2"); });
-  bus.subscribe("y", [&](const sim::BusEvent&) { order.push_back("Y"); });
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(order, (std::vector<std::string>{"W1", "N1", "W2", "N2"}));
-}
-
-TEST(EventBusIndexed, RemovalDuringNestedPublishNeverFiresAgain) {
-  sim::EventBus bus;
-  int removed_hits = 0;
-  int outer_rounds = 0;
-  sim::SubscriptionHandle victim;
-  // Subscriber 1 (name "x"): on the first outer publish, publishes a
-  // nested "y"; the "y" handler unsubscribes the victim while the OUTER
-  // publish of "x" is still mid-dispatch.
-  bus.subscribe("x", [&](const sim::BusEvent& e) {
-    if (e.name == "x" && ++outer_rounds == 1) {
-      bus.publish({SimTime::zero(), "n", "y", Value{}});
-    }
-  });
-  bus.subscribe("y", [&](const sim::BusEvent&) { bus.unsubscribe(victim); });
-  victim = bus.subscribe("x",
-                         [&](const sim::BusEvent&) { ++removed_hits; });
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  // The victim was removed during the nested publish, before its turn in
-  // the outer dispatch: it must not have fired then, nor ever after.
-  EXPECT_EQ(removed_hits, 0);
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(removed_hits, 0);
-}
-
-TEST(EventBusIndexed, UnsubscribeOutsidePublishTakesEffectImmediately) {
-  sim::EventBus bus;
-  int hits = 0;
-  sim::SubscriptionHandle h =
-      bus.subscribe("x", [&](const sim::BusEvent&) { ++hits; });
-  bus.unsubscribe(h);
-  bus.unsubscribe(h);  // double unsubscribe must be a no-op
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(hits, 0);
-}
-
-TEST(EventBusIndexed, ManyNamesDispatchOnlyMatching) {
-  sim::EventBus bus;
-  int matching = 0;
-  int others = 0;
-  for (int i = 0; i < 50; ++i) {
-    bus.subscribe("event_" + std::to_string(i),
-                  [&others](const sim::BusEvent&) { ++others; });
-  }
-  bus.subscribe("target", [&matching](const sim::BusEvent&) { ++matching; });
-  bus.publish({SimTime::zero(), "n", "target", Value{}});
-  EXPECT_EQ(matching, 1);
-  EXPECT_EQ(others, 0);
 }
 
 }  // namespace

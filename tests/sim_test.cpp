@@ -1,8 +1,10 @@
-// Unit tests for the discrete-event kernel: scheduler, clocks, event bus.
+// Unit tests for the discrete-event kernel: scheduler and clocks.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "sim/clock.hpp"
-#include "sim/event_bus.hpp"
 #include "sim/scheduler.hpp"
 
 namespace excovery::sim {
@@ -82,6 +84,59 @@ TEST(Scheduler, RunUntilAdvancesClockWhenIdle) {
   Scheduler scheduler;
   scheduler.run_until(SimTime::from_seconds(2));
   EXPECT_EQ(scheduler.now(), SimTime::from_seconds(2));
+}
+
+/// Runs `on_destroy` when the last copy of the owning callback goes away.
+struct DestroyProbe {
+  std::function<void()> on_destroy;
+  ~DestroyProbe() { on_destroy(); }
+};
+
+TEST(Scheduler, RestartAtDropsPendingWithoutRunningThem) {
+  Scheduler scheduler;
+  scheduler.run_until(SimTime::from_millis(5));
+  int dropped_ran = 0;
+  bool late_ran = false;
+  TimerHandle early =
+      scheduler.schedule(SimDuration::from_millis(1), [&] { ++dropped_ran; });
+  scheduler.schedule(SimDuration::from_seconds(100), [&] { ++dropped_ran; });
+  // A dropped callback whose destructor cancels a dropped timer and
+  // schedules a new one.
+  auto probe = std::shared_ptr<DestroyProbe>(new DestroyProbe{[&] {
+    scheduler.cancel(early);
+    scheduler.schedule(SimDuration::from_millis(1), [&] { late_ran = true; });
+  }});
+  scheduler.schedule(SimDuration::from_millis(2),
+                     [&dropped_ran, probe] { ++dropped_ran; });
+  probe.reset();
+  const std::uint64_t executed = scheduler.executed();
+  const std::uint64_t cancelled = scheduler.cancelled();
+
+  scheduler.restart_at(SimTime::from_millis(1));  // the clock never goes back
+  EXPECT_EQ(scheduler.now(), SimTime::from_millis(5));
+  EXPECT_EQ(scheduler.executed(), executed);
+  EXPECT_EQ(scheduler.cancelled(), cancelled);  // the destructor's was stale
+  EXPECT_EQ(scheduler.pending(), 1u);           // what the destructor queued
+  scheduler.run();
+  EXPECT_TRUE(late_ran);
+  EXPECT_EQ(dropped_ran, 0);
+  EXPECT_EQ(scheduler.now(), SimTime::from_millis(6));
+
+  // A handle from before a restart never cancels a timer scheduled after
+  // it, even in a recycled slot; the restart moves the clock forward.
+  TimerHandle stale =
+      scheduler.schedule(SimDuration::from_seconds(1), [&] { ++dropped_ran; });
+  scheduler.restart_at(SimTime::from_seconds(50));
+  EXPECT_EQ(scheduler.now(), SimTime::from_seconds(50));
+  EXPECT_TRUE(scheduler.idle());
+  bool after_ran = false;
+  scheduler.schedule(SimDuration::from_millis(1), [&] { after_ran = true; });
+  scheduler.cancel(stale);
+  scheduler.run();
+  EXPECT_TRUE(after_ran);
+  EXPECT_EQ(dropped_ran, 0);
+  EXPECT_EQ(scheduler.now(),
+            SimTime::from_seconds(50) + SimDuration::from_millis(1));
 }
 
 TEST(Scheduler, EventsCanScheduleEvents) {
@@ -165,78 +220,6 @@ TEST(LocalClock, JitterIsBoundedAndDeterministic) {
     EXPECT_LE(std::abs((ra - t).nanos()), 50'000);
     EXPECT_EQ(ra, b.read(t));  // same seed -> same jitter sequence
   }
-}
-
-// ---- EventBus --------------------------------------------------------------------------
-
-TEST(EventBus, DeliversToNameSubscribers) {
-  EventBus bus;
-  int hits = 0;
-  bus.subscribe("boom", [&](const BusEvent&) { ++hits; });
-  bus.publish({SimTime::zero(), "n", "boom", Value{}});
-  bus.publish({SimTime::zero(), "n", "other", Value{}});
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(bus.published(), 2u);
-}
-
-TEST(EventBus, WildcardSeesEverything) {
-  EventBus bus;
-  std::vector<std::string> seen;
-  bus.subscribe("", [&](const BusEvent& e) { seen.push_back(e.name); });
-  bus.publish({SimTime::zero(), "n", "a", Value{}});
-  bus.publish({SimTime::zero(), "n", "b", Value{}});
-  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(EventBus, UnsubscribeStopsDelivery) {
-  EventBus bus;
-  int hits = 0;
-  SubscriptionHandle handle =
-      bus.subscribe("x", [&](const BusEvent&) { ++hits; });
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  bus.unsubscribe(handle);
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(EventBus, ReentrantSubscribeDoesNotSeeCurrentEvent) {
-  EventBus bus;
-  int inner_hits = 0;
-  bus.subscribe("x", [&](const BusEvent&) {
-    bus.subscribe("x", [&](const BusEvent&) { ++inner_hits; });
-  });
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(inner_hits, 0);
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(inner_hits, 1);
-}
-
-TEST(EventBus, UnsubscribeDuringPublishIsSafe) {
-  EventBus bus;
-  int hits_a = 0;
-  int hits_b = 0;
-  SubscriptionHandle b_handle;
-  bus.subscribe("x", [&](const BusEvent&) {
-    ++hits_a;
-    bus.unsubscribe(b_handle);
-  });
-  b_handle = bus.subscribe("x", [&](const BusEvent&) { ++hits_b; });
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  bus.publish({SimTime::zero(), "n", "x", Value{}});
-  EXPECT_EQ(hits_a, 2);
-  EXPECT_EQ(hits_b, 0);  // removed before its first delivery
-}
-
-TEST(EventBus, EventCarriesPayload) {
-  EventBus bus;
-  BusEvent captured;
-  bus.subscribe("sd_service_add",
-                [&](const BusEvent& e) { captured = e; });
-  bus.publish({SimTime::from_seconds(1), "SU0", "sd_service_add",
-               Value{"SM0"}});
-  EXPECT_EQ(captured.node, "SU0");
-  EXPECT_EQ(captured.parameter.as_string(), "SM0");
-  EXPECT_EQ(captured.time, SimTime::from_seconds(1));
 }
 
 }  // namespace

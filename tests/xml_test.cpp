@@ -1,5 +1,5 @@
 // Unit tests for the XML module: arena DOM, in-situ parser, writer,
-// selection, schema.
+// schema.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -8,7 +8,6 @@
 #include "xml/dom.hpp"
 #include "xml/parser.hpp"
 #include "xml/schema.hpp"
-#include "xml/select.hpp"
 #include "xml/writer.hpp"
 
 namespace excovery::xml {
@@ -251,49 +250,6 @@ TEST(XmlDom, SubtreeCopyAcrossDocuments) {
   const Element* sub = target.root().child("sub");
   ASSERT_NE(sub, nullptr);
   EXPECT_TRUE(sub->equals(*source.value().root().child("sub")));
-}
-
-// ---- selection -----------------------------------------------------------------------
-
-TEST(XmlSelect, PathNavigation) {
-  Result<Document> doc = parse(
-      "<r><a><b id=\"1\">x</b><b id=\"2\">y</b></a><a><b id=\"3\">z</b></a>"
-      "</r>");
-  ASSERT_TRUE(doc.ok());
-  const Element& root = doc.value().root();
-  EXPECT_EQ(select_all(root, "a/b").size(), 3u);
-  EXPECT_EQ(select_first(root, "a/b")->text(), "x");
-  EXPECT_EQ(select_first(root, "a/b[@id=2]")->text(), "y");
-  EXPECT_EQ(select_first(root, "a/b[2]")->text(), "y");
-  EXPECT_EQ(select_all(root, "a/*").size(), 3u);
-  EXPECT_EQ(select_first(root, "a/c"), nullptr);
-  EXPECT_TRUE(select_required(root, "a/b").ok());
-  EXPECT_FALSE(select_required(root, "q").ok());
-}
-
-TEST(XmlSelect, RecursiveDescent) {
-  Result<Document> doc =
-      parse("<r><x><y><leaf/></y></x><leaf/><z><leaf/></z></r>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(select_all_recursive(doc.value().root(), "leaf").size(), 3u);
-}
-
-TEST(XmlSelect, RecursiveDescentDocumentOrder) {
-  Result<Document> doc = parse(
-      "<r><k i=\"1\"><k i=\"2\"/></k><m><k i=\"3\"/></m><k i=\"4\"/></r>");
-  ASSERT_TRUE(doc.ok());
-  std::vector<std::string> order;
-  for (const Element* k : select_all_recursive(doc.value().root(), "k")) {
-    order.push_back(std::string(*k->attr("i")));
-  }
-  EXPECT_EQ(order, (std::vector<std::string>{"1", "2", "3", "4"}));
-}
-
-TEST(XmlSelect, TextOrDefault) {
-  Result<Document> doc = parse("<r><k>v</k></r>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(select_text_or(doc.value().root(), "k", "d"), "v");
-  EXPECT_EQ(select_text_or(doc.value().root(), "missing", "d"), "d");
 }
 
 // ---- schema ----------------------------------------------------------------------------
