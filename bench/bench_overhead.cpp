@@ -14,8 +14,8 @@
 //   lineage-ring        lineage log, flight-recorder ring only  flood, unicast
 //   lineage-graph       full graph retention and per-link       (reported)
 //                       counts, plus critical paths on mdns
-//   faults-idle         injector + schedule engine built, one   flood, unicast
-//                       fault started and stopped
+//   faults-idle         injector built, one fault started and   flood, unicast
+//                       stopped
 //   faults-churn-world  crash/restart churn, Gilbert-Elliott    (reported)
 //                       bursty loss, source-side reordering
 //
@@ -49,7 +49,6 @@
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "faults/injector.hpp"
-#include "faults/schedule.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -128,7 +127,6 @@ struct World {
   std::unique_ptr<sim::LineageLog> lineage;
   std::unique_ptr<net::Network> network;  ///< null for scheduler-only loads
   std::unique_ptr<faults::FaultInjector> injector;
-  std::unique_ptr<faults::FaultScheduleEngine> engine;
 };
 
 /// A representative dynamic world for the whole bench: crash/restart churn,
@@ -142,7 +140,7 @@ void arm_churn_world(World& world, const FaultSites& sites) {
   for (NodeId node : sites.churn) {
     faults::TemporalSpec seeded = window;
     seeded.randomseed = 17 + node;
-    if (!world.engine->node_churn(node, churn, seeded).ok()) std::abort();
+    if (!world.injector->node_churn(node, churn, seeded).ok()) std::abort();
   }
   faults::GilbertElliott ge;
   ge.p_enter_bad = 0.05;
@@ -179,8 +177,6 @@ void attach(Config config, World& world, const FaultSites& sites) {
     case Config::kFaultsChurnWorld:
       world.injector =
           std::make_unique<faults::FaultInjector>(*world.network, sites.port);
-      world.engine =
-          std::make_unique<faults::FaultScheduleEngine>(*world.injector);
       if (config == Config::kFaultsChurnWorld) {
         arm_churn_world(world, sites);
         return;
@@ -571,8 +567,8 @@ int main(int argc, char** argv) {
         "MetricsShard sampling), obs-trace (lineage-graph plus the packet "
         "track rendered into a TraceBuffer), lineage-ring (flight-recorder "
         "ring), lineage-graph (full graph retention and per-link counts, "
-        "plus critical paths on mdns), faults-idle (injector + schedule "
-        "engine built, one fault started and stopped), faults-churn-world "
+        "plus critical paths on mdns), faults-idle (injector built, one "
+        "fault started and stopped), faults-churn-world "
         "(churn, Gilbert-Elliott loss, reordering). gate PASS/OVER-BUDGET "
         "marks the pairs held to the 3% budget (obs-metrics on flood, "
         "unicast and sched_churn; "

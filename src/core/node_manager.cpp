@@ -2,7 +2,6 @@
 
 #include "common/strings.hpp"
 #include "core/platform.hpp"
-#include "faults/schedule.hpp"
 
 namespace excovery::core {
 
@@ -16,18 +15,41 @@ std::string param_text(const ValueMap& params, const std::string& key,
   return strings::strip_quotes(it->second.to_text());
 }
 
+/// A parse failure names its parameter, so a typo in a description points
+/// at its key.
+template <typename T>
+Result<T> named(const std::string& key, Result<T> parsed) {
+  if (parsed.ok()) return parsed;
+  return err_invalid("parameter '" + key + "': " + parsed.error().message());
+}
+
 Result<double> param_double(const ValueMap& params, const std::string& key,
                             double fallback) {
   auto it = params.find(key);
   if (it == params.end()) return fallback;
-  return it->second.to_double();
+  return named(key, it->second.to_double());
 }
 
 Result<std::int64_t> param_int(const ValueMap& params, const std::string& key,
                                std::int64_t fallback) {
   auto it = params.find(key);
   if (it == params.end()) return fallback;
-  return it->second.to_int();
+  return named(key, it->second.to_int());
+}
+
+/// The §IV-D temporal parameters of a fault start.  A malformed value is an
+/// error: ignoring it would arm the fault with the default instead (a
+/// mistyped duration would leave the fault armed until stopped).
+Result<faults::TemporalSpec> temporal_from(const ValueMap& params) {
+  faults::TemporalSpec spec;
+  if (params.count("duration") != 0) {
+    EXC_ASSIGN_OR_RETURN(double seconds, param_double(params, "duration", 0.0));
+    spec.duration = sim::SimDuration::from_seconds(seconds);
+  }
+  EXC_ASSIGN_OR_RETURN(spec.rate, param_double(params, "rate", spec.rate));
+  EXC_ASSIGN_OR_RETURN(std::int64_t seed, param_int(params, "randomseed", 0));
+  spec.randomseed = static_cast<std::uint64_t>(seed);
+  return spec;
 }
 
 /// The service instance an sd_start_publish / sd_update_publication call
@@ -261,26 +283,6 @@ Result<Value> NodeManager::dispatch_sd(const std::string& method,
   return err_rpc("unknown sd method '" + method + "'");
 }
 
-faults::TemporalSpec NodeManager::temporal_from(const ValueMap& params) const {
-  faults::TemporalSpec spec;
-  if (auto it = params.find("duration"); it != params.end()) {
-    if (Result<double> seconds = it->second.to_double(); seconds.ok()) {
-      spec.duration = sim::SimDuration::from_seconds(seconds.value());
-    }
-  }
-  if (auto it = params.find("rate"); it != params.end()) {
-    if (Result<double> rate = it->second.to_double(); rate.ok()) {
-      spec.rate = rate.value();
-    }
-  }
-  if (auto it = params.find("randomseed"); it != params.end()) {
-    if (Result<std::int64_t> seed = it->second.to_int(); seed.ok()) {
-      spec.randomseed = static_cast<std::uint64_t>(seed.value());
-    }
-  }
-  return spec;
-}
-
 Result<Value> NodeManager::dispatch_fault(const std::string& method,
                                           const ValueMap& params) {
   faults::FaultInjector& injector = platform_.injector();
@@ -301,7 +303,7 @@ Result<Value> NodeManager::dispatch_fault(const std::string& method,
   if (active_faults_.count(kind) != 0) {
     return err_state(kind + " already active on node " + name_);
   }
-  faults::TemporalSpec temporal = temporal_from(params);
+  EXC_ASSIGN_OR_RETURN(faults::TemporalSpec temporal, temporal_from(params));
 
   Result<faults::FaultHandle> handle = [&]() -> Result<faults::FaultHandle> {
     if (kind == "fault_interface") {
@@ -343,7 +345,7 @@ Result<Value> NodeManager::dispatch_fault(const std::string& method,
           temporal);
     }
     if (kind == "fault_node_crash") {
-      return platform_.schedule_engine().node_crash(node_id_, temporal);
+      return injector.node_crash(node_id_, temporal);
     }
     if (kind == "fault_node_churn" || kind == "fault_link_flap") {
       EXC_ASSIGN_OR_RETURN(double up_s,
@@ -356,14 +358,12 @@ Result<Value> NodeManager::dispatch_fault(const std::string& method,
       spec.exponential =
           param_text(params, "distribution", "exponential") != "fixed";
       if (kind == "fault_node_churn") {
-        return platform_.schedule_engine().node_churn(node_id_, spec,
-                                                      temporal);
+        return injector.node_churn(node_id_, spec, temporal);
       }
       std::string peer_name = param_text(params, "peer");
       if (peer_name.empty()) return err_invalid(kind + " needs a peer");
       EXC_ASSIGN_OR_RETURN(net::NodeId peer, platform_.node_id(peer_name));
-      return platform_.schedule_engine().link_flap(node_id_, peer, spec,
-                                                   temporal);
+      return injector.link_flap(node_id_, peer, spec, temporal);
     }
     if (kind == "fault_ge_loss") {
       faults::GilbertElliott model;

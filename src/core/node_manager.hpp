@@ -86,7 +86,6 @@ class NodeManager {
   Result<Value> dispatch_fault(const std::string& method,
                                const ValueMap& params);
   Status ensure_agent();
-  faults::TemporalSpec temporal_from(const ValueMap& params) const;
   /// Drain this node's packet captures into its level-2 store.
   void collect_captures(std::int64_t run_id);
 

@@ -77,8 +77,7 @@ Status SimPlatform::setup(const ExperimentDescription& description) {
     recorder_->record(node.empty() ? kEnvironmentNode : node, event,
                       parameter);
   });
-  engine_ = std::make_unique<faults::FaultScheduleEngine>(*injector_);
-  engine_->set_lifecycle_hooks(
+  injector_->set_lifecycle_hooks(
       [this](const std::string& node) {
         auto it = managers_.find(node);
         if (it != managers_.end()) it->second->crash();

@@ -22,7 +22,6 @@
 #include "core/description.hpp"
 #include "core/recorder.hpp"
 #include "faults/injector.hpp"
-#include "faults/schedule.hpp"
 #include "faults/traffic.hpp"
 #include "net/network.hpp"
 #include "rpc/endpoint.hpp"
@@ -80,7 +79,6 @@ class SimPlatform {
   EventRecorder& recorder() noexcept { return *recorder_; }
   storage::Level2Store& level2() noexcept { return level2_; }
   faults::FaultInjector& injector() noexcept { return *injector_; }
-  faults::FaultScheduleEngine& schedule_engine() noexcept { return *engine_; }
   faults::TrafficGenerator& traffic() noexcept { return *traffic_; }
   rpc::InProcessTransport& transport() noexcept { return transport_; }
   sim::LineageLog& lineage() noexcept { return lineage_; }
@@ -155,7 +153,6 @@ class SimPlatform {
   storage::Level2Store level2_;
   std::unique_ptr<EventRecorder> recorder_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<faults::FaultScheduleEngine> engine_;
   std::unique_ptr<faults::TrafficGenerator> traffic_;
   rpc::InProcessTransport transport_;
 

@@ -107,8 +107,6 @@ RunExecutor::KernelSample RunExecutor::sample_kernel() const {
   sample.cancelled = platform_.scheduler().cancelled();
   sample.published = platform_.recorder().recorded();
   sample.dispatched = platform_.recorder().watch_calls();
-  sample.activations = platform_.injector().activations();
-  sample.kind_stats = platform_.injector().kind_stats();
   return sample;
 }
 
@@ -123,34 +121,24 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
   };
 
   const KernelSample after = sample_kernel();
-  // Network stats were reset by prepare_run (reset_run_state), so the
-  // end-of-attempt values are per-attempt absolutes.
+  // Network stats and fault counters were reset by prepare_run
+  // (reset_run_state), so the end-of-attempt values are per-attempt
+  // absolutes.
   const net::NetworkStats& net = platform_.network().stats();
   const std::uint64_t net_dropped =
       net.dropped_loss + net.dropped_interface + net.dropped_filter +
       net.dropped_ttl + net.dropped_no_route + net.dropped_no_handler +
       net.dropped_queue + net.dropped_link_down;
-  // Per-fault-kind counter deltas over this attempt.  The injector's map
-  // only grows, so every `before` kind still exists in `after`.
-  faults::FaultKindStats fault_delta;
-  std::map<std::string, faults::FaultKindStats> kind_delta;
-  for (const auto& [kind, stats] : after.kind_stats) {
-    faults::FaultKindStats d = stats;
-    if (auto it = before.kind_stats.find(kind); it != before.kind_stats.end()) {
-      d.activations -= it->second.activations;
-      d.deactivations -= it->second.deactivations;
-      d.packets_dropped -= it->second.packets_dropped;
-      d.packets_delayed -= it->second.packets_delayed;
-      d.packets_duplicated -= it->second.packets_duplicated;
-      d.packets_reordered -= it->second.packets_reordered;
-    }
-    fault_delta.activations += d.activations;
-    fault_delta.deactivations += d.deactivations;
-    fault_delta.packets_dropped += d.packets_dropped;
-    fault_delta.packets_delayed += d.packets_delayed;
-    fault_delta.packets_duplicated += d.packets_duplicated;
-    fault_delta.packets_reordered += d.packets_reordered;
-    kind_delta.emplace(kind, d);
+  const std::map<std::string, faults::FaultKindStats>& fault_kinds =
+      platform_.injector().kind_stats();
+  faults::FaultKindStats fault_total;
+  for (const auto& [kind, stats] : fault_kinds) {
+    fault_total.activations += stats.activations;
+    fault_total.deactivations += stats.deactivations;
+    fault_total.packets_dropped += stats.packets_dropped;
+    fault_total.packets_delayed += stats.packets_delayed;
+    fault_total.packets_duplicated += stats.packets_duplicated;
+    fault_total.packets_reordered += stats.packets_reordered;
   }
   const double sim_seconds =
       static_cast<double>(platform_.scheduler().now().nanos() - sim_start_ns) /
@@ -176,12 +164,12 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
   add(ids.net_forwarded, net.forwarded);
   add(ids.net_dropped, net_dropped);
   add(ids.net_bytes_sent, net.bytes_sent);
-  add(ids.fault_activations, after.activations - before.activations);
-  add(ids.fault_deactivations, fault_delta.deactivations);
-  add(ids.fault_packets_dropped, fault_delta.packets_dropped);
-  add(ids.fault_packets_delayed, fault_delta.packets_delayed);
-  add(ids.fault_packets_duplicated, fault_delta.packets_duplicated);
-  add(ids.fault_packets_reordered, fault_delta.packets_reordered);
+  add(ids.fault_activations, fault_total.activations);
+  add(ids.fault_deactivations, fault_total.deactivations);
+  add(ids.fault_packets_dropped, fault_total.packets_dropped);
+  add(ids.fault_packets_delayed, fault_total.packets_delayed);
+  add(ids.fault_packets_duplicated, fault_total.packets_duplicated);
+  add(ids.fault_packets_reordered, fault_total.packets_reordered);
   shard.observe(ids.run_sim_seconds, sim_seconds);
 
   // Best-effort/wall domain: the gauges depend on instance history.  The
@@ -212,11 +200,10 @@ void RunExecutor::record_attempt_obs(const RunSpec& run, const Status& status,
   led("net.forwarded", static_cast<double>(net.forwarded));
   led("net.dropped", static_cast<double>(net_dropped));
   led("net.bytes_sent", static_cast<double>(net.bytes_sent));
-  led("faults.activations",
-      static_cast<double>(after.activations - before.activations));
+  led("faults.activations", static_cast<double>(fault_total.activations));
   // Per-kind breakdown for runs where the kind actually did something, so
   // dynamic-world treatments are analysable from the level-3 Metrics table.
-  for (const auto& [kind, d] : kind_delta) {
+  for (const auto& [kind, d] : fault_kinds) {
     auto led_kind = [&](const char* counter, std::uint64_t value) {
       if (value == 0) return;
       led(strings::format("faults.%s.%s", kind.c_str(), counter),
@@ -485,7 +472,7 @@ Status RunExecutor::env_action(const std::string& method, ValueMap params) {
     }
     faults::TemporalSpec temporal;  // until stopped
     EXC_ASSIGN_OR_RETURN(env_partition_,
-                         platform_.schedule_engine().partition(side, temporal));
+                         platform_.injector().partition(side, temporal));
     return {};
   }
   if (method == "env_partition_stop") {

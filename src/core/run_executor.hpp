@@ -16,7 +16,6 @@
 // deterministic level-2 merge relies on.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "core/description.hpp"
@@ -74,9 +73,6 @@ class RunExecutor : public ActionDispatcher {
     std::uint64_t cancelled = 0;
     std::uint64_t published = 0;
     std::uint64_t dispatched = 0;
-    std::uint64_t activations = 0;
-    /// Per-fault-kind counters (copied: the live map keeps growing).
-    std::map<std::string, faults::FaultKindStats> kind_stats;
   };
   KernelSample sample_kernel() const;
   void record_attempt_obs(const RunSpec& run, const Status& status,

@@ -343,6 +343,9 @@ void Network::reset_run_state() {
   for (NodeState& state : nodes_) {
     state.seen_uids.clear();
     state.captures.clear();
+    // The radio's backlog belongs to packets the restart dropped: the new
+    // attempt's first send must not wait out their airtime.
+    state.tx_free_at = sim::SimTime{};
   }
   // Heal any links a fault schedule left down: every run starts from the
   // topology the description declared.

@@ -221,9 +221,9 @@ class Network {
                             lineage_->intern(label));
   }
 
-  /// Reset per-run state: duplicate-suppression sets, captures, tag
-  /// counters.  Used by run preparation ("network packets generated in
-  /// previous runs must be dropped", §IV-C1).
+  /// Reset per-run state: duplicate-suppression sets, captures, radio
+  /// backlogs, downed links.  Used by run preparation ("network packets
+  /// generated in previous runs must be dropped", §IV-C1).
   void reset_run_state();
 
   /// Rebase every network-owned random stream (link loss, delay jitter,

@@ -33,8 +33,9 @@ enum class MetricDomain : std::uint8_t {
   /// Pure function of the experiment: bit-identical across worker counts.
   kDeterministic,
   /// Simulated-time derived but instance-dependent (e.g. the scheduler's
-  /// pending high-water mark, which sees gated leftover timers from earlier
-  /// runs on a shared platform instance but not on a fresh replica).
+  /// pending high-water mark, kept since the platform instance was built:
+  /// it covers every run that instance executed, so a shared instance and
+  /// a fresh worker replica report different peaks).
   kBestEffort,
   /// Wall-clock measurement: never deterministic, never exported into
   /// result packages.

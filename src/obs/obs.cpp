@@ -177,10 +177,12 @@ void ObsContext::report_progress(std::size_t completed, std::size_t total,
 }
 
 std::vector<ObsContext::MetricValue> ObsContext::merged_metrics() const {
+  // A copy, not a merge_from into an empty shard: merging would report
+  // every gauge's maximum as its last value.
   MetricsShard merged(&registry_);
   {
     std::lock_guard lock(merge_mutex_);
-    merged.merge_from(merged_);
+    merged = merged_;
   }
   std::vector<MetricDesc> descs = registry_.descriptors();
   std::vector<MetricValue> values;

@@ -7,7 +7,7 @@
 
 #include "core/master.hpp"
 #include "core/scenario.hpp"
-#include "faults/schedule.hpp"
+#include "faults/injector.hpp"
 #include "obs/obs.hpp"
 #include "sd/hybrid.hpp"
 #include "stats/analysis.hpp"
@@ -91,14 +91,13 @@ TEST(ChurnIntegration, CrashedSmReRegistersAndIsRediscovered) {
 }
 
 // Acceptance: the hybrid SDP degrades gracefully when its SCM is cut off by
-// an engine-driven partition — the watchdog leaves directed mode and
+// an injector-driven partition — the watchdog leaves directed mode and
 // discovery proceeds over multicast; healing the partition restores
 // directed operation.
 TEST(ChurnIntegration, HybridFallsBackWhenScmPartitionedAway) {
   sim::Scheduler scheduler;
   net::Network network(scheduler, net::Topology::full_mesh(3), 1);
   faults::FaultInjector injector(network, 5353);
-  faults::FaultScheduleEngine engine(injector);
 
   std::vector<std::pair<std::string, std::string>> events;
   std::vector<std::unique_ptr<sd::HybridAgent>> agents;
@@ -134,7 +133,7 @@ TEST(ChurnIntegration, HybridFallsBackWhenScmPartitionedAway) {
 
   // Partition the SCM away.  No adverts get through; after scm_timeout
   // (12 s) + the 2 s watchdog tick the SU must leave directed mode.
-  Result<faults::FaultHandle> partition = engine.partition({2});
+  Result<faults::FaultHandle> partition = injector.partition({2});
   ASSERT_TRUE(partition.ok());
   run_for(16.0);
   EXPECT_FALSE(agents[1]->directed_mode());

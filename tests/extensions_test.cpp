@@ -295,5 +295,33 @@ TEST(NodeManagerRpc, SdActionsOverControlChannel) {
   ASSERT_TRUE(call(sm, "run_exit", {{"run_id", Value{1}}}).ok());
 }
 
+// A malformed temporal parameter is an error naming the key, never a
+// silently ignored one: `duration="10s"` must not arm an unbounded fault.
+TEST(NodeManagerRpc, MalformedTemporalParametersRejected) {
+  core::scenario::TwoPartyOptions options;
+  options.replications = 1;
+  Result<Rig> rig = make_rig(options);
+  ASSERT_TRUE(rig.ok());
+  core::SimPlatform& platform = *rig.value().platform;
+  rpc::RpcClient su = platform.client("SU0");
+  auto start_loss = [&su](const std::string& key, const std::string& text) {
+    ValueMap params{{"probability", Value{0.5}}, {key, Value{text}}};
+    return su.call("fault_message_loss_start", {Value{std::move(params)}});
+  };
+
+  for (const std::string key : {"rate", "duration", "randomseed"}) {
+    Result<Value> started = start_loss(key, "abc");
+    ASSERT_FALSE(started.ok()) << key;
+    EXPECT_NE(started.error().message().find(key), std::string::npos)
+        << started.error().message();
+    EXPECT_EQ(platform.injector().active_count(), 0u) << key;
+    EXPECT_FALSE(su.call("fault_message_loss_stop", {}).ok()) << key;
+  }
+
+  ASSERT_TRUE(start_loss("rate", "0.5").ok());
+  EXPECT_EQ(platform.injector().active_count(), 1u);
+  ASSERT_TRUE(su.call("fault_message_loss_stop", {}).ok());
+}
+
 }  // namespace
 }  // namespace excovery

@@ -1,11 +1,11 @@
 // Unit tests for fault injection and environment manipulation (§IV-D),
-// plus the dynamic-world fault engine (DESIGN.md §12).
+// plus the dynamic-world fault processes (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "common/hash.hpp"
 #include "faults/injector.hpp"
-#include "faults/schedule.hpp"
 #include "faults/traffic.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
@@ -567,7 +567,7 @@ TEST(LinkControl, UnknownLinkRejected) {
   EXPECT_FALSE(fx.network.set_link_up(0, 9, false).ok());
 }
 
-// ---- fault-schedule engine (DESIGN.md §12) ----------------------------------
+// ---- dynamic-world processes (DESIGN.md §12) -------------------------------
 
 TEST(ScheduleEngine, ChurnSpecValidated) {
   ChurnSpec bad;
@@ -582,10 +582,9 @@ TEST(ScheduleEngine, ChurnSpecValidated) {
 
 TEST(ScheduleEngine, NodeCrashTogglesInterfacesForWindow) {
   Fixture fx(net::Topology::chain(2));
-  FaultScheduleEngine engine(fx.injector);
   TemporalSpec temporal;
   temporal.duration = sim::SimDuration::from_seconds(2);
-  Result<FaultHandle> fault = engine.node_crash(0, temporal);
+  Result<FaultHandle> fault = fx.injector.node_crash(0, temporal);
   ASSERT_TRUE(fault.ok());
   // rate 1.0 -> the active block covers the whole window, starting at 0.
   fx.scheduler.run_until(fx.scheduler.now() +
@@ -600,7 +599,6 @@ TEST(ScheduleEngine, NodeCrashTogglesInterfacesForWindow) {
 
 TEST(ScheduleEngine, NodeChurnAlternatesAndEmitsEvents) {
   Fixture fx(net::Topology::chain(2));
-  FaultScheduleEngine engine(fx.injector);
   std::vector<std::string> events;
   fx.injector.set_event_sink([&](const std::string& node,
                                  const std::string& event, const Value&) {
@@ -613,7 +611,7 @@ TEST(ScheduleEngine, NodeChurnAlternatesAndEmitsEvents) {
   TemporalSpec temporal;
   temporal.duration = sim::SimDuration::from_seconds(10);
   temporal.randomseed = 9;
-  Result<FaultHandle> fault = engine.node_churn(0, spec, temporal);
+  Result<FaultHandle> fault = fx.injector.node_churn(0, spec, temporal);
   ASSERT_TRUE(fault.ok());
   fx.scheduler.run();
   // Fixed 1 s holding times in a 10 s window: several full cycles.
@@ -631,8 +629,7 @@ TEST(ScheduleEngine, NodeChurnAlternatesAndEmitsEvents) {
 TEST(ScheduleEngine, ChurnScheduleIsDeterministicInSeed) {
   auto trace = [](std::uint64_t seed) {
     Fixture fx(net::Topology::chain(2));
-    FaultScheduleEngine engine(fx.injector);
-    std::vector<std::string> events;
+      std::vector<std::string> events;
     fx.injector.set_event_sink([&](const std::string&,
                                    const std::string& event, const Value&) {
       events.push_back(event + "@" +
@@ -644,7 +641,7 @@ TEST(ScheduleEngine, ChurnScheduleIsDeterministicInSeed) {
     TemporalSpec temporal;
     temporal.duration = sim::SimDuration::from_seconds(20);
     temporal.randomseed = seed;
-    EXPECT_TRUE(engine.node_churn(0, spec, temporal).ok());
+    EXPECT_TRUE(fx.injector.node_churn(0, spec, temporal).ok());
     fx.scheduler.run();
     return events;
   };
@@ -654,14 +651,13 @@ TEST(ScheduleEngine, ChurnScheduleIsDeterministicInSeed) {
 
 TEST(ScheduleEngine, LifecycleHooksPreferredOverInterfaceToggles) {
   Fixture fx(net::Topology::chain(2));
-  FaultScheduleEngine engine(fx.injector);
   std::vector<std::string> calls;
-  engine.set_lifecycle_hooks(
+  fx.injector.set_lifecycle_hooks(
       [&](const std::string& node) { calls.push_back("crash:" + node); },
       [&](const std::string& node) { calls.push_back("restore:" + node); });
   TemporalSpec temporal;
   temporal.duration = sim::SimDuration::from_seconds(1);
-  ASSERT_TRUE(engine.node_crash(0, temporal).ok());
+  ASSERT_TRUE(fx.injector.node_crash(0, temporal).ok());
   fx.scheduler.run();
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[0], "crash:n0");
@@ -672,24 +668,22 @@ TEST(ScheduleEngine, LifecycleHooksPreferredOverInterfaceToggles) {
 
 TEST(ScheduleEngine, LinkFlapRequiresAdjacency) {
   Fixture fx(net::Topology::chain(3));
-  FaultScheduleEngine engine(fx.injector);
   ChurnSpec spec;
   spec.mean_uptime = sim::SimDuration::from_seconds(1);
   spec.mean_downtime = sim::SimDuration::from_seconds(1);
-  EXPECT_FALSE(engine.link_flap(0, 2, spec, {}).ok());  // not adjacent
-  EXPECT_TRUE(engine.link_flap(0, 1, spec, {}).ok());
+  EXPECT_FALSE(fx.injector.link_flap(0, 2, spec, {}).ok());  // not adjacent
+  EXPECT_TRUE(fx.injector.link_flap(0, 1, spec, {}).ok());
 }
 
 TEST(ScheduleEngine, LinkFlapTogglesLinkAndHealsOnStop) {
   Fixture fx(net::Topology::chain(2));
-  FaultScheduleEngine engine(fx.injector);
   ChurnSpec spec;
   spec.mean_uptime = sim::SimDuration::from_seconds(1);
   spec.mean_downtime = sim::SimDuration::from_seconds(1);
   spec.exponential = false;
   TemporalSpec temporal;
   temporal.duration = sim::SimDuration::from_seconds(5);
-  Result<FaultHandle> fault = engine.link_flap(0, 1, spec, temporal);
+  Result<FaultHandle> fault = fx.injector.link_flap(0, 1, spec, temporal);
   ASSERT_TRUE(fault.ok());
   fx.scheduler.run_until(fx.scheduler.now() +
                          sim::SimDuration::from_millis(1500));
@@ -700,9 +694,8 @@ TEST(ScheduleEngine, LinkFlapTogglesLinkAndHealsOnStop) {
 
 TEST(ScheduleEngine, PartitionCutsCrossingLinksAndHeals) {
   Fixture fx(net::Topology::full_mesh(4));
-  FaultScheduleEngine engine(fx.injector);
   fx.bind_counter(3);
-  Result<FaultHandle> fault = engine.partition({0, 1});
+  Result<FaultHandle> fault = fx.injector.partition({0, 1});
   ASSERT_TRUE(fault.ok());
   EXPECT_FALSE(fx.network.link_up(0, 2));
   EXPECT_FALSE(fx.network.link_up(0, 3));
@@ -722,8 +715,7 @@ TEST(ScheduleEngine, PartitionCutsCrossingLinksAndHeals) {
 
 TEST(ScheduleEngine, InjectorResetStopsEngineFaults) {
   Fixture fx(net::Topology::full_mesh(3));
-  FaultScheduleEngine engine(fx.injector);
-  ASSERT_TRUE(engine.partition({0}).ok());
+  ASSERT_TRUE(fx.injector.partition({0}).ok());
   EXPECT_EQ(fx.network.disabled_link_count(), 2u);
   fx.injector.reset();
   EXPECT_EQ(fx.network.disabled_link_count(), 0u);
@@ -756,6 +748,151 @@ TEST(FaultKindStats, CountersTrackPerKind) {
   auto dup_it = stats.find("message_duplicate");
   ASSERT_NE(dup_it, stats.end());
   EXPECT_EQ(dup_it->second.packets_duplicated, 2u);
+
+  // reset() is the attempt boundary: the counters restart, the entries
+  // (which installed filters reference) stay.
+  fx.injector.reset();
+  EXPECT_EQ(stats.size(), 2u);
+  EXPECT_EQ(it->second.activations, 0u);
+  EXPECT_EQ(it->second.packets_dropped, 0u);
+  EXPECT_EQ(dup_it->second.packets_duplicated, 0u);
+}
+
+// ---- every-kind pin ------------------------------------------------------------
+
+/// SHA-256 over everything a seeded 3x3 grid world observes while every
+/// fault entry point is armed in a temporal window: each delivery (time,
+/// node, port, payload tag), each fault event in sink order, the final
+/// per-kind counters and the network's drop and duplicate counts.
+/// `with_hooks` routes node_crash and node_churn through lifecycle hooks
+/// (which take only the receive side down) instead of the interface
+/// toggles.
+std::string every_kind_digest(bool with_hooks) {
+  Fixture fx(net::Topology::grid(3, 3));
+  Sha256 digest;
+  auto note = [&](const std::string& line) { digest.update_sized(line); };
+  auto now = [&] { return std::to_string(fx.scheduler.now().nanos()); };
+
+  for (net::NodeId n = 0; n < fx.network.node_count(); ++n) {
+    fx.network.join_group(n, net::Address::sd_multicast());
+    for (net::Port port : {kPort, net::Port{7777}}) {
+      fx.network.bind(n, port, [&, n, port](net::NodeId, const net::Packet& p) {
+        note("rx " + now() + " " + std::to_string(n) + " " +
+             std::to_string(port) + " " +
+             std::to_string(p.payload[0] | (p.payload[1] << 8)));
+      });
+    }
+  }
+  fx.injector.set_event_sink([&](const std::string& node,
+                                 const std::string& event, const Value&) {
+    note("ev " + now() + " " + node + " " + event);
+  });
+  if (with_hooks) {
+    auto toggle = [&](const std::string& node, bool up) {
+      note((up ? "restore " : "crash ") + now() + " " + node);
+      fx.network.set_interface_up(
+          fx.network.topology().find(node).value(), net::Direction::kReceive,
+          up);
+    };
+    fx.injector.set_lifecycle_hooks(
+        [toggle](const std::string& node) { toggle(node, false); },
+        [toggle](const std::string& node) { toggle(node, true); });
+  }
+
+  // Traffic: one send every 20 ms for 10 s, rotating over the senders and
+  // over experiment/other unicast and multicast.
+  for (int k = 0; k < 500; ++k) {
+    fx.scheduler.schedule(sim::SimDuration::from_millis(20 * k), [&fx, k] {
+      const auto nodes = static_cast<int>(fx.network.node_count());
+      auto from = static_cast<net::NodeId>(k % nodes);
+      auto to = static_cast<net::NodeId>((k * 5 + 1) % nodes);
+      if (to == from) to = static_cast<net::NodeId>((to + 1) % nodes);
+      net::Packet packet;
+      packet.dst = k % 2 == 0 ? fx.network.topology().node(to).address
+                              : net::Address::sd_multicast();
+      packet.src_port = packet.dst_port = (k / 2) % 2 == 0 ? kPort : 7777;
+      packet.payload.assign(2, 0);
+      packet.payload[0] = static_cast<std::uint8_t>(k & 0xFF);
+      packet.payload[1] = static_cast<std::uint8_t>(k >> 8);
+      (void)fx.network.send(from, std::move(packet));
+    });
+  }
+
+  auto window = [](double rate, std::uint64_t seed) {
+    TemporalSpec temporal;
+    temporal.duration = sim::SimDuration::from_seconds(10);
+    temporal.rate = rate;
+    temporal.randomseed = seed;
+    return temporal;
+  };
+  GilbertElliott ge;
+  ge.p_enter_bad = 0.2;
+  ge.p_exit_bad = 0.3;
+  ge.loss_good = 0.05;
+  ge.loss_bad = 0.8;
+  ChurnSpec exponential;
+  exponential.mean_uptime = sim::SimDuration::from_seconds(1);
+  exponential.mean_downtime = sim::SimDuration::from_millis(300);
+  ChurnSpec fixed = exponential;
+  fixed.mean_uptime = sim::SimDuration::from_millis(800);
+  fixed.mean_downtime = sim::SimDuration::from_millis(400);
+  fixed.exponential = false;
+
+  auto ms = [](int n) { return sim::SimDuration::from_millis(n); };
+  std::vector<Result<FaultHandle>> armed;
+  armed.push_back(
+      fx.injector.interface_fault(1, FaultDirection::kRandom, window(0.2, 3)));
+  armed.push_back(fx.injector.message_loss(2, 0.3, FaultDirection::kReceive,
+                                           window(0.5, 4)));
+  armed.push_back(fx.injector.message_loss(3, 0.3, FaultDirection::kTransmit,
+                                           window(0.5, 5)));
+  armed.push_back(fx.injector.message_delay(4, ms(20), window(0.4, 6)));
+  armed.push_back(fx.injector.path_loss(5, 4, 0.5, window(0.6, 7)));
+  armed.push_back(fx.injector.path_delay(6, 3, ms(15), window(0.6, 8)));
+  armed.push_back(
+      fx.injector.ge_loss(7, ge, FaultDirection::kBoth, window(0.7, 9)));
+  armed.push_back(fx.injector.ge_path_loss(8, 5, ge, window(0.7, 10)));
+  armed.push_back(fx.injector.message_duplicate(0, 0.3, 2, ms(1),
+                                                window(0.5, 11)));
+  armed.push_back(fx.injector.message_reorder(1, 0.4, ms(30), window(0.8, 12)));
+  armed.push_back(fx.injector.drop_all_packets(window(0.05, 13)));
+  armed.push_back(fx.injector.node_crash(2, window(0.15, 14)));
+  armed.push_back(fx.injector.node_churn(3, exponential, window(0.6, 15)));
+  armed.push_back(fx.injector.node_churn(5, fixed, window(0.6, 16)));
+  armed.push_back(fx.injector.link_flap(0, 1, exponential, window(0.5, 17)));
+  armed.push_back(fx.injector.partition({6, 7}, window(0.2, 18)));
+  for (const Result<FaultHandle>& fault : armed) {
+    EXPECT_TRUE(fault.ok());
+    if (!fault.ok()) return {};
+  }
+  // One fault stopped before its window closes.
+  FaultHandle reorder = armed[9].value();
+  fx.scheduler.schedule(sim::SimDuration::from_seconds(6),
+                        [reorder] { reorder->stop(); });
+  fx.scheduler.run();
+
+  for (const auto& [kind, s] : fx.injector.kind_stats()) {
+    note("kind " + kind + " " + std::to_string(s.activations) + " " +
+         std::to_string(s.deactivations) + " " +
+         std::to_string(s.packets_dropped) + " " +
+         std::to_string(s.packets_delayed) + " " +
+         std::to_string(s.packets_duplicated) + " " +
+         std::to_string(s.packets_reordered));
+  }
+  const net::NetworkStats& net = fx.network.stats();
+  note("net " + std::to_string(net.sent) + " " + std::to_string(net.delivered) +
+       " " + std::to_string(net.dropped_interface) + " " +
+       std::to_string(net.dropped_filter) + " " +
+       std::to_string(net.dropped_link_down) + " " +
+       std::to_string(net.duplicated));
+  return digest.finish_hex();
+}
+
+TEST(FaultInjection, EveryKindPinned) {
+  EXPECT_EQ(every_kind_digest(false),
+            "df584cea4b59fe62fdbda0aff62d1fc5275c9d9d08fb3511d1a7b7de97a276fb");
+  EXPECT_EQ(every_kind_digest(true),
+            "54706396076ee54a0abe1994ee6bad4b310503bc3a22383998525b7ae2990613");
 }
 
 // ---- traffic generation (§IV-D2) ----------------------------------------------------------

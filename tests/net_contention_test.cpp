@@ -101,6 +101,33 @@ TEST(Contention, IdleGapsDoNotAccumulateDebt) {
   EXPECT_LT((arrival - start).seconds(), airtime_s + 0.001);
 }
 
+TEST(Contention, AttemptBoundaryClearsRadioBacklog) {
+  sim::Scheduler scheduler;
+  Network network(scheduler, Topology::chain(2, narrow_link()), 1);
+  std::vector<sim::SimTime> arrivals;
+  network.bind(1, 5000, [&](NodeId, const Packet&) {
+    arrivals.push_back(scheduler.now());
+  });
+  Address dst = network.topology().node(1).address;
+  // An attempt queues ~83 ms of airtime and is aborted 1 ms in.
+  for (int i = 0; i < 10; ++i) (void)network.send(0, big_packet(dst));
+  scheduler.run_until(scheduler.now() + sim::SimDuration::from_millis(1));
+
+  // The run executor's attempt boundary: an empty queue, run-scoped
+  // streams, per-run state reset.  The dropped packets' airtime must not
+  // delay the retry's first send.
+  scheduler.restart_at(scheduler.now());
+  network.begin_run(2);
+  network.reset_run_state();
+  arrivals.clear();
+  sim::SimTime start = scheduler.now();
+  (void)network.send(0, big_packet(dst));
+  scheduler.run();
+  ASSERT_EQ(arrivals.size(), 1u);
+  double airtime_s = 1032.0 * 8.0 / 1e6;
+  EXPECT_LT((arrivals[0] - start).seconds(), airtime_s + 0.001);
+}
+
 TEST(Contention, IndependentSendersDoNotBlockEachOther) {
   sim::Scheduler scheduler;
   Network network(scheduler, Topology::full_mesh(3, narrow_link()), 1);

@@ -258,6 +258,19 @@ TEST(ObsContext, ProgressReportLogsThroughSink) {
   EXPECT_NE(captured.find("runs 4/4 (100.0%)"), std::string::npos);
 }
 
+TEST(ObsContext, MetricsJsonReportsLastGaugeValue) {
+  ObsContext obs;
+  const MetricId gauge = obs.ids().sched_max_pending;
+  obs.set_gauge(gauge, 5);
+  obs.set_gauge(gauge, 2);
+  EXPECT_EQ(obs.merged_cell(gauge).gauge_last, 2);
+  const std::string json = obs.metrics_json();
+  const std::size_t at = json.find("\"name\":\"sched.max_pending\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::string entry = json.substr(at, json.find('}', at) - at);
+  EXPECT_NE(entry.find("\"last\":2,\"max\":5"), std::string::npos) << entry;
+}
+
 // ---- package metrics table -------------------------------------------------
 
 TEST(PackageMetrics, ExportWritesTotalsAndLedgerRows) {
